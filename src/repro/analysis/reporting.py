@@ -24,21 +24,32 @@ class FigureTable:
     rows: List[Sequence]
     notes: List[str] = field(default_factory=list)
     extras: Dict[str, object] = field(default_factory=dict)
+    #: Columns measured in host wall-clock time.  :meth:`format` prints them;
+    #: :meth:`save` leaves them out, so a persisted table is the same on every run.
+    host_timed: Sequence[str] = ()
 
-    def format(self, float_fmt: str = ".3f") -> str:
-        """Render the table (plus notes) as ASCII text."""
+    def format(self, float_fmt: str = ".3f", *, host_timed: bool = True) -> str:
+        """Render the table (plus notes) as ASCII text, optionally without the
+        host-timed columns."""
+        keep = [
+            i for i, h in enumerate(self.headers) if host_timed or h not in self.host_timed
+        ]
         body = format_table(
-            self.headers, self.rows, float_fmt=float_fmt, title=f"{self.figure_id}: {self.title}"
+            [self.headers[i] for i in keep],
+            [[row[i] for i in keep] for row in self.rows],
+            float_fmt=float_fmt,
+            title=f"{self.figure_id}: {self.title}",
         )
         if self.notes:
             body += "\n" + "\n".join(f"note: {n}" for n in self.notes)
         return body
 
     def save(self, path: Union[str, Path], float_fmt: str = ".3f") -> Path:
-        """Write the formatted table to ``path`` (parent directories are created)."""
+        """Write the formatted table, minus its host-timed columns, to ``path``
+        (parent directories are created)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.format(float_fmt=float_fmt) + "\n")
+        path.write_text(self.format(float_fmt=float_fmt, host_timed=False) + "\n")
         return path
 
     def column(self, name: str) -> List:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.bench.runner import BenchResult, time_throughput
 from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.profiles import default_profile_registry
-from repro.core.config_space import enumerate_configs
+from repro.core.config_space import config_space
 from repro.core.cost_matrix import build_cost_matrix
 from repro.core.kairos import KairosPlanner
 from repro.core.latency_model import OnlineLatencyEstimator
@@ -301,7 +301,7 @@ def _rank_benchmark(name: str, preset: str, budget: float, min_seconds: float) -
     profiles = default_profile_registry()
     samples = production_batch_distribution().sample(4000, np.random.default_rng(SEED))
     estimator = ThroughputUpperBoundEstimator(profiles, MODEL, samples)
-    space = enumerate_configs(budget, profiles.catalog)
+    space = config_space(budget, profiles.catalog)  # what the planner ranks
 
     def work() -> float:
         estimator.rank_configs(space)
@@ -331,11 +331,12 @@ def bench_planner_rank_4x(preset: str) -> BenchResult:
 
 
 def bench_elastic_replan(preset: str) -> BenchResult:
-    """Macro: wall time of one full re-plan pass (enumerate + rank + select).
+    """Macro: wall time of one full re-plan pass (memoized space + rank + select).
 
     This is the latency the elastic controller pays inside the serving loop every time
-    :meth:`~repro.core.controller.ElasticKairosController.maybe_replan` fires, so it is
-    reported as re-plans per second of the same planner pipeline the controller builds.
+    :meth:`~repro.core.controller.ElasticKairosController.maybe_replan` fires at an
+    already-seen budget, so it is reported as re-plans per second of the same planner
+    pipeline the controller builds.
     """
     p = _params(preset)
     profiles = default_profile_registry()

@@ -13,7 +13,12 @@ Two co-designed components:
 :mod:`repro.core.controller` ties both together into a runnable serving system.
 """
 
-from repro.core.config_space import enumerate_configs, search_space_size
+from repro.core.config_space import (
+    ConfigSpace,
+    config_space,
+    enumerate_configs,
+    search_space_size,
+)
 from repro.core.cost_matrix import CostMatrix, build_cost_matrix
 from repro.core.distributor import Assignment, QueryDistributor
 from repro.core.heterogeneity import heterogeneity_coefficients
@@ -60,6 +65,8 @@ __all__ = [
     "ThroughputUpperBoundEstimator",
     "UpperBoundInputs",
     "upper_bound_from_rates",
+    "ConfigSpace",
+    "config_space",
     "enumerate_configs",
     "search_space_size",
     "SelectionResult",

@@ -21,7 +21,7 @@ from repro.cloud.instances import DEFAULT_INSTANCE_CATALOG, InstanceCatalog
 from repro.cloud.models import MLModel
 from repro.cloud.profiles import ProfileRegistry, default_profile_registry
 from repro.cloud.spot import MS_PER_HOUR, SpotMarket
-from repro.core.config_space import enumerate_configs
+from repro.core.config_space import ConfigSpace, config_space
 from repro.core.selection import SelectionResult, select_configuration
 from repro.core.upper_bound import ThroughputUpperBoundEstimator
 from repro.utils.rng import RngLike, ensure_rng
@@ -115,19 +115,28 @@ class KairosPlanner:
             self.profiles, self.model, self.batch_samples, catalog=self.catalog
         )
 
-    def enumerate(self) -> List[HeterogeneousConfig]:
-        """The configuration search space under the budget."""
-        return enumerate_configs(
+    def config_space(self) -> ConfigSpace:
+        """The configuration search space under the budget (memoized, shared read-only)."""
+        return config_space(
             self.budget_per_hour,
             self.catalog,
             min_base_count=self.min_base_count,
             max_per_type=self.max_per_type,
         )
 
+    def enumerate(self) -> List[HeterogeneousConfig]:
+        """The configuration search space under the budget, as a fresh list."""
+        return list(self.config_space())
+
     def plan(self, configs: Optional[Sequence[HeterogeneousConfig]] = None) -> KairosPlan:
-        """Run the full planning pass; returns the selected configuration and diagnostics."""
+        """Run the full planning pass; returns the selected configuration and diagnostics.
+
+        Without ``configs`` the pass ranks the budget's space, memoized per budget and
+        shared read-only: every re-plan at an already-seen budget reuses one
+        enumeration (configurations and count matrix) instead of rebuilding it.
+        """
         start = time.perf_counter()
-        space = list(configs) if configs is not None else self.enumerate()
+        space = list(configs) if configs is not None else self.config_space()
         if not space:
             raise ValueError(
                 f"no configuration fits the budget of {self.budget_per_hour}$/hr"
@@ -295,19 +304,23 @@ class MultiModelKairosPlanner:
     def model_names(self) -> List[str]:
         return [m.name for m in self.models]
 
-    def enumerate(self) -> List[HeterogeneousConfig]:
+    def config_space(self) -> ConfigSpace:
         """The shared configuration space: everything affordable under the full budget.
 
         One model alone may spend up to the whole budget (another model's demand can
         be near zero), so each model ranks the same space; the budget check applies to
-        the *sum* of the selections.
+        the *sum* of the selections.  Memoized per budget and shared read-only.
         """
-        return enumerate_configs(
+        return config_space(
             self.budget_per_hour,
             self.catalog,
             min_base_count=self.min_base_count,
             max_per_type=self.max_per_type,
         )
+
+    def enumerate(self) -> List[HeterogeneousConfig]:
+        """The shared configuration space as a fresh list."""
+        return list(self.config_space())
 
     def update_batch_samples(self, model_name: str, batch_samples: Sequence[int]) -> None:
         """Swap one model's monitored window in place (re-plans keep the cutoff table)."""
@@ -325,7 +338,7 @@ class MultiModelKairosPlanner:
         missing = [m.name for m in self.models if m.name not in target_qps]
         if missing:
             raise KeyError(f"no demand target for models: {missing}")
-        space = self.enumerate()
+        space = self.config_space()
         if not space:
             raise ValueError(
                 f"no configuration fits the budget of {self.budget_per_hour}$/hr"
@@ -557,27 +570,30 @@ def enumerate_spot_configs(
     same catalog object so the vectorized bound path applies); the empty allocation
     is included — "buy no spot" is always a candidate.
     """
-    check_positive(budget_per_hour, "budget_per_hour")
-    offered = [name for name in catalog.names if market.offers(name)]
-    configs: List[HeterogeneousConfig] = []
-    counts: Dict[str, int] = {}
+    return list(
+        config_space(
+            budget_per_hour,
+            catalog,
+            min_total_instances=0,
+            max_per_type=max_per_type,
+            prices=_spot_prices(catalog, market),
+        )
+    )
 
-    def recurse(idx: int, remaining: float) -> None:
-        if idx == len(offered):
-            configs.append(HeterogeneousConfig.from_mapping(counts, catalog))
-            return
-        name = offered[idx]
-        price = catalog[name].price_per_hour * market.price_multiplier(name)
-        cap = int(math.floor(remaining / price + 1e-9))
-        if max_per_type is not None:
-            cap = min(cap, max_per_type)
-        for c in range(max(cap, 0) + 1):
-            counts[name] = c
-            recurse(idx + 1, remaining - c * price)
-        counts[name] = 0
 
-    recurse(0, budget_per_hour)
-    return configs
+def _spot_prices(
+    catalog: InstanceCatalog, market: Optional[SpotMarket]
+) -> List[Optional[float]]:
+    """Per-type discounted $/hr, ``None`` where the market (if any) offers no spot.
+
+    The spot space is memoized on these prices rather than on the market object.
+    """
+    return [
+        catalog[name].price_per_hour * market.price_multiplier(name)
+        if market is not None and market.offers(name)
+        else None
+        for name in catalog.names
+    ]
 
 
 @dataclass(frozen=True)
@@ -731,8 +747,7 @@ class _MixedSelection(NamedTuple):
 
 
 def _spot_availability(
-    spot_space: Sequence[HeterogeneousConfig],
-    catalog: InstanceCatalog,
+    spot_space: ConfigSpace,
     market: Optional[SpotMarket],
     horizon_ms: float,
 ) -> np.ndarray:
@@ -746,14 +761,11 @@ def _spot_availability(
     per_type = np.asarray(
         [
             market.expected_availability(name, horizon_ms) if market.offers(name) else 1.0
-            for name in catalog.names
+            for name in spot_space.catalog.names
         ],
         dtype=float,
     )
-    counts = np.asarray([c.counts for c in spot_space], dtype=int)
-    if counts.size == 0:
-        return np.ones(len(spot_space), dtype=float)
-    masked = np.where(counts > 0, per_type[None, :], np.inf)
+    masked = np.where(spot_space.counts > 0, per_type[None, :], np.inf)
     values = masked.min(axis=1)
     return np.where(np.isfinite(values), values, 1.0)
 
@@ -767,9 +779,10 @@ def _mixed_candidates(
     max_per_type: Optional[int],
     max_spot_per_type: Optional[int],
     min_base_count: int,
-) -> Tuple[List[HeterogeneousConfig], np.ndarray, List[HeterogeneousConfig], np.ndarray, np.ndarray]:
-    """The two candidate spaces of a mixed plan plus their cost/availability vectors."""
-    space = enumerate_configs(
+) -> Tuple[ConfigSpace, np.ndarray, ConfigSpace, np.ndarray, np.ndarray]:
+    """The two memoized candidate spaces of a mixed plan plus their cost/availability
+    vectors."""
+    space = config_space(
         budget_per_hour,
         catalog,
         min_base_count=min_base_count,
@@ -778,24 +791,20 @@ def _mixed_candidates(
     if not space:
         raise ValueError(f"no configuration fits the budget of {budget_per_hour}$/hr")
     costs = np.asarray([c.cost_per_hour() for c in space], dtype=float)
-    if market is not None and len(market):
-        spot_space = enumerate_spot_configs(
-            budget_per_hour, catalog, market, max_per_type=max_spot_per_type
-        )
-        multipliers = np.asarray(
-            [
-                market.price_multiplier(name) if market.offers(name) else 1.0
-                for name in catalog.names
-            ],
-            dtype=float,
-        )
-        prices = np.asarray(catalog.price_vector(), dtype=float) * multipliers
-        spot_counts = np.asarray([c.counts for c in spot_space], dtype=int)
-        spot_costs = spot_counts @ prices
-    else:
-        spot_space = [HeterogeneousConfig.empty(catalog)]
-        spot_costs = np.zeros(1, dtype=float)
-    availability = _spot_availability(spot_space, catalog, market, planning_horizon_ms)
+    # Without a (non-empty) market every price is None: the spot space is just the
+    # empty allocation, at zero cost.
+    spot_prices = _spot_prices(catalog, market)
+    spot_space = config_space(
+        budget_per_hour,
+        catalog,
+        min_total_instances=0,
+        max_per_type=max_spot_per_type,
+        prices=spot_prices,
+    )
+    spot_costs = spot_space.counts @ np.asarray(
+        [0.0 if p is None else p for p in spot_prices], dtype=float
+    )
+    availability = _spot_availability(spot_space, market, planning_horizon_ms)
     return space, costs, spot_space, spot_costs, availability
 
 

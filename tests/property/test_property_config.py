@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.config import HeterogeneousConfig, parse_config
-from repro.core.config_space import enumerate_configs
+from repro.core.config_space import _space, enumerate_configs
 
 count_vectors = st.tuples(
     st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)
@@ -73,3 +73,36 @@ def test_enumeration_is_budget_feasible_and_complete_at_boundary(budget):
         if itype.price_per_hour <= budget:
             single = HeterogeneousConfig.from_mapping({itype.name: 1})
             assert any(c.counts == single.counts for c in configs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    budget=st.floats(0.1, 2.0, allow_nan=False, allow_infinity=False),
+    max_per_type=st.one_of(st.none(), st.integers(0, 4)),
+    min_base_count=st.integers(0, 3),
+    min_total_instances=st.integers(0, 4),
+)
+def test_memoized_space_equals_an_uncached_enumeration(
+    budget, max_per_type, min_base_count, min_total_instances
+):
+    kwargs = dict(
+        min_base_count=min_base_count,
+        min_total_instances=min_total_instances,
+        max_per_type=max_per_type,
+    )
+    catalog = HeterogeneousConfig.empty().catalog
+    fresh = _space.__wrapped__(
+        budget,
+        catalog,
+        tuple(catalog.price_vector()),
+        min_base_count,
+        min_total_instances,
+        max_per_type,
+    )
+    # First call may build the entry, the second is served from the memo: both must
+    # match a fresh enumeration in content and order.
+    for _ in range(2):
+        configs = enumerate_configs(budget, **kwargs)
+        assert configs == list(fresh.configs)
+        assert [list(c.counts) for c in configs] == fresh.counts.tolist()
+    assert all(c.fits_budget(budget) for c in configs)

@@ -95,6 +95,20 @@ class TestFigureTable:
         assert path.exists()
         assert "demo" in path.read_text()
 
+    def test_host_timed_columns_are_printed_but_not_saved(self, tmp_path):
+        table = FigureTable(
+            figure_id="figT",
+            title="timed",
+            headers=["models", "cells", "us_per_round"],
+            rows=[[1, 252, 1260.976], [2, 1008, 2559.865]],
+            host_timed=["us_per_round"],
+        )
+        assert "us_per_round" in table.format() and "1260.976" in table.format()
+        saved = table.save(tmp_path / "fig.txt").read_text()
+        assert "us_per_round" not in saved and "1260.976" not in saved
+        assert "cells" in saved and "1008" in saved
+        assert table.column("us_per_round") == [1260.976, 2559.865]
+
     def test_column_and_row_map(self):
         table = self.make_table()
         assert table.column("qps") == [10.0, 20.0]

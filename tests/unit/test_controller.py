@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cloud.config import HeterogeneousConfig
-from repro.core.controller import KairosServingSystem
+from repro.core.config_space import _space
+from repro.core.controller import ElasticKairosController, KairosServingSystem
+from repro.core.kairos import KairosPlanner
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.workload.batch_sizes import FixedBatchSizes, production_batch_distribution
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
@@ -75,3 +77,69 @@ class TestKairosServingSystem:
     def test_accepts_model_object(self, profiles, rm2):
         system = KairosServingSystem(rm2, profiles=profiles, rng=0)
         assert system.model.name == "RM2"
+
+
+#: A capacity-loss storm: every event forces a cooldown-bypassing re-plan at the
+#: unchanged provisioned rate, so every re-plan runs at the base budget.
+STORM = [
+    ("observe_preemption", "g4dn.xlarge"),
+    ("observe_quarantine", "r5n.large"),
+    ("observe_failure", "c5n.2xlarge"),
+    ("observe_readmit", "r5n.large"),
+    ("observe_quarantine", "g4dn.xlarge"),
+    ("observe_preemption", "r5n.large"),
+]
+
+
+def _drive_storm(profiles, rounds=4):
+    controller = ElasticKairosController(
+        "RM2",
+        2.5,
+        100.0,
+        profiles=profiles,
+        batch_distribution=production_batch_distribution(),
+        num_monitor_samples=500,
+        rng=3,
+    )
+    controller.initial_plan()
+    for k, (method, type_name) in enumerate(STORM * rounds):
+        now_ms = 250.0 * (k + 1)
+        getattr(controller, method)(type_name, now_ms)
+        assert controller.maybe_replan(now_ms) is not None
+    return controller.decisions
+
+
+def _fresh_space(planner):
+    """An uncached enumeration of the planner's space (bypasses the memo)."""
+    catalog = planner.catalog
+    return _space.__wrapped__(
+        planner.budget_per_hour,
+        catalog,
+        tuple(catalog.price_vector()),
+        planner.min_base_count,
+        1,
+        planner.max_per_type,
+    )
+
+
+class TestReplanStormSharesOneSpace:
+    def test_memoized_replans_match_freshly_enumerated_ones(self, profiles, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(KairosPlanner, "config_space", _fresh_space)
+            fresh = _drive_storm(profiles)
+        _space.cache_clear()
+        memo = _drive_storm(profiles)
+
+        assert len(memo) == len(fresh) == len(STORM) * 4
+        assert {d.budget_per_hour for d in memo} == {2.5}
+        for ours, theirs in zip(memo, fresh):
+            assert ours.new_config == theirs.new_config
+            assert ours.scale_deltas == theirs.scale_deltas
+            assert [b for _, b in ours.plan.ranked] == [b for _, b in theirs.plan.ranked]
+            assert [c for c, _ in ours.plan.ranked] == [c for c, _ in theirs.plan.ranked]
+
+        # The initial plan and every re-plan ran at one budget: one enumeration,
+        # every later plan served from the memo.
+        info = _space.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(memo)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.cloud.config import HeterogeneousConfig
-from repro.core.config_space import enumerate_configs
+from repro.cloud.instances import InstanceCatalog
+from repro.core.config_space import config_space, enumerate_configs
 from repro.core.kairos import KairosPlanner
 from repro.core.upper_bound import ThroughputUpperBoundEstimator
 from repro.workload.batch_sizes import (
@@ -49,6 +50,14 @@ class TestBatchEquivalence:
         batch = estimator.upper_bounds_batch(space)
         scalar = np.asarray([estimator.upper_bound(c) for c in space], dtype=float)
         assert np.array_equal(batch, scalar)
+        # the memoized space ranks its cached count matrix: same bits
+        assert np.array_equal(estimator.upper_bounds_batch(config_space(2.5, catalog)), scalar)
+
+    def test_foreign_catalog_space_takes_the_scalar_path(self, estimator, catalog):
+        reordered = InstanceCatalog(list(reversed(catalog.types)), base_type="g4dn.xlarge")
+        space = config_space(1.5, reordered)
+        scalar = np.asarray([estimator.upper_bound(c) for c in space], dtype=float)
+        assert np.array_equal(estimator.upper_bounds_batch(space), scalar)
 
     def test_upper_bounds_routes_through_batch(self, estimator, catalog, rng):
         configs = random_configs(catalog, rng, count=40)
@@ -63,6 +72,7 @@ class TestBatchEquivalence:
         order = np.argsort(-bounds, kind="stable")
         expected = [(space[int(i)], float(bounds[int(i)])) for i in order]
         assert ranked == expected
+        assert estimator.rank_configs(config_space(1.5, catalog)) == expected
 
     def test_empty_input(self, estimator):
         out = estimator.upper_bounds_batch([])

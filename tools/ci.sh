@@ -2,9 +2,11 @@
 # Tier-1 CI gate: the full unit/property/regression/integration suite (with the
 # deterministic `ci` hypothesis profile) plus the `smoke` benchmark subset (the
 # fastest scenario per figure family), so figure-level regressions surface
-# without paying for the full benchmark matrix; the `bench-smoke` perf stage,
-# which re-measures the hot paths at the quick scale and fails on a >30%
-# machine-normalized regression against the committed BENCH_perf.json; and the
+# without paying for the full benchmark matrix; a clean-tree check that those
+# two stages modified no tracked file (untracked and ignored outputs are fine);
+# the `bench-smoke` perf stage, which re-measures the hot paths at the quick
+# scale and fails on a >30% machine-normalized regression against the committed
+# BENCH_perf.json; and the
 # `fuzz-smoke` stage, a bounded scenario-fuzzer pass over every serving loop
 # plus a full replay of the committed tests/regression/ corpus; and the
 # `chaos-smoke` stage, a fault-enabled campaign (unannounced crashes, storms,
@@ -23,11 +25,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Tracked-file state (paths plus a hash of their diff), so the clean-tree stage
+# below also works on a checkout that starts with local edits.
+tracked_state() {
+    git status --porcelain --untracked-files=no
+    git diff HEAD --no-ext-diff | git hash-object --stdin
+}
+tracked_before="$(tracked_state)"
+
 echo "== tier-1: unit / property / regression / integration tests =="
 python -m pytest tests -x -q --hypothesis-profile=ci "$@"
 
 echo "== smoke benchmarks =="
 python -m pytest benchmarks -m smoke -q "$@"
+
+echo "== clean-tree: the test stages must not modify tracked files =="
+if [ "$(tracked_state)" != "$tracked_before" ]; then
+    echo "tracked files modified by the test stages:" >&2
+    git status --porcelain --untracked-files=no >&2
+    exit 1
+fi
 
 echo "== bench-smoke: perf regression gate =="
 python tools/bench.py --quick
