@@ -23,11 +23,20 @@ completed since the last round have new column data (tracked by
 :attr:`~repro.sim.server.ServerInstance.state_version`).  :class:`RoundColumnState`
 exploits this: it pins the column layout (type grouping, weights targets, dispatch
 overheads, server ids) once per policy bind and, per round, re-reads *only* the
-servers whose state version moved, then derives eligibility, offsets, and the
-type-group index structure as whole-array operations.  The shared public assembly
-cores (:func:`assemble_cost_matrix` / :func:`assemble_multi_model`) guarantee the
-incremental path is element-wise identical to the from-scratch builders (locked
-down by the golden and fast-path suites).
+servers whose state version moved and refreshes the offset column in place.
+
+Eligibility is a mask over that stable layout, not a re-gathered view: each depth
+transition across 1 flips one mask bit and one per-group count.  Near capacity most
+rounds have some server with a queued dispatch, and nine in ten rounds have one
+pending query, so those rounds score the full layout (skipping blocks with no
+eligible server, setting ineligible columns to ``+inf`` before the first-minimum
+argmin) — the same decision, estimator calls and RNG stream as the round over the
+eligible servers.  Multi-row rounds still match over a gathered eligible view,
+since penalty columns in the JV matrix would change its duals and tie-breaks.  The
+shared public assembly cores (:func:`assemble_cost_matrix` /
+:func:`assemble_multi_model`) guarantee the incremental path is element-wise
+identical to the from-scratch builders (locked down by the golden and fast-path
+suites).
 """
 
 from __future__ import annotations
@@ -257,7 +266,7 @@ def build_cost_matrix(
 
 @dataclass(frozen=True)
 class RoundColumns:
-    """One round's eligible-column view produced by :class:`RoundColumnState`.
+    """A column view produced by :class:`RoundColumnState`.
 
     ``indices[k]`` maps column ``k`` of the round's matrix back to the bound
     container's server index (what scheduling decisions address).
@@ -273,13 +282,22 @@ class RoundColumnState:
     """Round-over-round column cache for a fixed server list (one policy bind).
 
     The static layout — type grouping, dispatch overheads, server ids — is derived
-    once; per round only servers whose
+    once, and :meth:`refresh` returns it as one stable full-layout view per bind.
+    Per round only servers whose
     :attr:`~repro.sim.server.ServerInstance.state_version` moved are re-read (one
-    attribute probe per unchanged server), and eligibility (local queue depth <= 1)
-    plus the offset column are evaluated as whole-array operations.  The group
-    structure of a filtered round preserves first-occurrence order, so estimator
-    call order — and therefore any stochastic estimator's RNG stream — is identical
-    to the from-scratch build.
+    attribute probe per unchanged server), and the offset column is evaluated as one
+    whole-array operation into a persistent buffer.
+
+    Eligibility (local queue depth <= 1) is kept as a mask over that stable layout
+    instead of a re-gathered view: every depth transition across 1 updates the
+    persistent :attr:`ineligible` mask and the per-group :attr:`eligible_counts`, so
+    a round with queued dispatches costs nothing beyond the transitions themselves.
+    Single-query rounds score the full layout and mask the ineligible columns;
+    multi-row rounds ask :meth:`eligible_view` for the filtered view, whose group
+    structure preserves first-occurrence order (and :meth:`call_order` gives the
+    same order over the full layout's groups), so estimator call order — and
+    therefore any stochastic estimator's RNG stream — is identical to the
+    from-scratch build over the eligible servers.
     """
 
     __slots__ = (
@@ -293,9 +311,14 @@ class RoundColumnState:
         "_offsets_buf",
         "_server_ids",
         "_codes",
+        "_code_list",
         "_keys_by_code",
         "_full_columns",
+        "_contiguous",
+        "_order",
         "_n",
+        "ineligible",
+        "eligible_counts",
     )
 
     def __init__(
@@ -322,17 +345,42 @@ class RoundColumnState:
         self._server_ids = [s.server_id for s in self.servers]
         code_of: Dict[object, int] = {}
         codes = [code_of.setdefault(key, len(code_of)) for key in self._keys]
+        self._code_list = codes
         self._codes = np.asarray(codes, dtype=np.int64)
         self._keys_by_code = list(code_of)
-        self._full_columns: Optional[RoundColumns] = None
+        # Codes number the keys in first-occurrence order, so code ``g`` is also the
+        # position of its block in the full layout's ``groups``.
+        self._full_columns = RoundColumns(
+            indices=list(range(n)),
+            server_ids=tuple(self._server_ids),
+            offsets=self._offsets_buf,
+            groups=self._groups_of(self._codes),
+        )
+        self._contiguous = all(
+            isinstance(cols, slice) for _, cols in self._full_columns.groups
+        )
+        self._order: Optional[List[int]] = None
+        #: Persistent mask over the full layout: True where a server is ineligible.
+        self.ineligible = np.zeros(n, dtype=bool)
+        #: Eligible servers per group of the full layout (indexed like ``groups``).
+        self.eligible_counts: List[int] = [0] * len(code_of)
+        for code in codes:
+            self.eligible_counts[code] += 1
+
+    @property
+    def masked(self) -> bool:
+        """True when at least one server is ineligible this round."""
+        return self._over_depth > 0
 
     def refresh(self, now_ms: float) -> Optional[RoundColumns]:
-        """The eligible-column view at ``now_ms``; ``None`` when nothing is eligible.
+        """The full-layout view at ``now_ms``; ``None`` when nothing is eligible.
 
-        The returned object (and its ``offsets`` buffer) is only valid until the next
-        call — consumers use it within the round, never across rounds.
+        The view is the same object for the whole bind, its ``offsets`` buffer is
+        rewritten in place, and :attr:`ineligible` / :attr:`eligible_counts` say
+        which of its columns are eligible — all valid until the next call only.
         """
-        if self._n == 0:
+        n = self._n
+        if n == 0:
             return None  # an empty container has no eligible columns, ever
         versions = self._versions
         depths = self._depths
@@ -346,40 +394,65 @@ class RoundColumnState:
                 old = depths[k]
                 if depth != old:
                     depths[k] = depth
-                    # track eligibility transitions so the common everyone-eligible
-                    # round needs no mask scan at all
-                    if depth > 1:
-                        if old <= 1:
-                            self._over_depth += 1
-                    elif old > 1:
-                        self._over_depth -= 1
+                    out = depth > 1
+                    if out != (old > 1):
+                        # only transitions across 1 touch the mask and the counts,
+                        # so a round costs nothing for servers whose eligibility held
+                        self._over_depth += 1 if out else -1
+                        self.ineligible[k] = out
+                        self.eligible_counts[self._code_list[k]] -= 1 if out else -1
+                        self._order = None
 
+        if self._over_depth == n:
+            return None
         offsets = self._offsets_buf
         np.subtract(busy, now_ms, out=offsets)
         np.maximum(offsets, 0.0, out=offsets)
         offsets += self._overhead
-        if self._over_depth == 0:
-            full = self._full_columns
-            if full is None:
-                full = RoundColumns(
-                    indices=list(range(self._n)),
-                    server_ids=tuple(self._server_ids),
-                    offsets=offsets,
-                    groups=self._groups_of(self._codes),
-                )
-                self._full_columns = full
-            return full
+        return self._full_columns
 
-        eligible = np.asarray(depths) <= 1
-        idx = np.nonzero(eligible)[0]
-        if idx.size == 0:
-            return None
+    def call_order(self) -> List[int]:
+        """Positions in the full layout's ``groups`` of the blocks holding eligible
+        servers, in the order :meth:`eligible_view`'s groups list them.
+
+        That order is each block's first *eligible* column, which matches the full
+        layout's block order unless a non-contiguous block's leading servers are
+        ineligible.  Recomputed only after an eligibility transition.
+        """
+        order = self._order
+        if order is None:
+            counts = self.eligible_counts
+            order = [g for g in range(len(counts)) if counts[g]]
+            if not self._contiguous and self._over_depth:
+                # blocks in order of their first eligible server (codes number the
+                # blocks, so a scan of the codes finds it)
+                wanted = len(order)
+                order = []
+                for code, out in zip(self._code_list, self.ineligible.tolist()):
+                    if not out and code not in order:
+                        order.append(code)
+                        if len(order) == wanted:
+                            break
+            self._order = order
+        return order
+
+    def eligible_view(self) -> RoundColumns:
+        """The eligible columns of the last :meth:`refresh` as a filtered view.
+
+        Multi-row rounds match over this view: the full layout itself when every
+        server is eligible, otherwise a gather of the eligible columns (whose
+        ``offsets`` is a copy, valid for the round).
+        """
+        full = self._full_columns
+        if self._over_depth == 0:
+            return full
+        idx = np.flatnonzero(~self.ineligible)
         index_list = idx.tolist()
         ids = self._server_ids
         return RoundColumns(
             indices=index_list,
             server_ids=tuple(ids[i] for i in index_list),
-            offsets=offsets[idx],
+            offsets=full.offsets[idx],
             groups=self._groups_of(self._codes[idx]),
         )
 

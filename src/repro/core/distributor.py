@@ -151,7 +151,7 @@ class QueryDistributor:
 
         ``considered``/``batches``/``waits`` come from the pending queue's memoized
         snapshot arrays (already capped at ``max_queries_per_round``), ``columns``
-        from a :class:`~repro.core.cost_matrix.RoundColumnState` refresh.  Produces
+        from :meth:`~repro.core.cost_matrix.RoundColumnState.eligible_view`.  Produces
         the exact round :meth:`distribute` would, element for element — only the
         Python-level re-materialization work is skipped.  Server indices in the
         result address ``columns``' filtered column space; callers map them back

@@ -217,6 +217,9 @@ class KairosPolicy(SchedulingPolicy):
                 columns_state,
                 now_ms,
             )
+        # A JV matrix with masked penalty columns would change duals and
+        # tie-breaks, so multi-row rounds match over the gathered eligible view.
+        columns = columns_state.eligible_view()
         waits = np.maximum(now_ms - arrivals, 0.0)
         round_result = self._distributor.distribute_prepared(
             considered, batches, waits, columns
@@ -241,11 +244,11 @@ class KairosPolicy(SchedulingPolicy):
     def _single_plan(self, columns, coefficients):
         """Pre-sliced scratch views + pre-filled weights for single-query rounds.
 
-        Keyed on the (stable) full-round ``RoundColumns`` object and the
+        Keyed on the bind's stable full-layout ``RoundColumns`` object and the
         coefficients dict identity (``_rebuild_distributor`` installs a fresh dict,
         so refreshed coefficients invalidate the plan).  Group validation and the
         weights fill run once per key instead of every round; the per-round work
-        shrinks to one ``predict_many_ms`` + one ``np.add`` per type block.
+        shrinks to one ``predict_many_ms`` + one ``np.add`` per eligible type block.
         """
         cached = self._single_scratch
         if (
@@ -256,7 +259,9 @@ class KairosPolicy(SchedulingPolicy):
             return cached[2]
         offsets = columns.offsets
         n = offsets.shape[0]
-        usage = np.empty(n)
+        # zeros, not empty: a skipped (all-ineligible) block keeps finite values,
+        # so the masked round's arithmetic never sees uninitialised memory
+        usage = np.zeros(n)
         weights = np.empty(n)
         tmp = np.empty(n)
         feasible = np.empty(n, dtype=bool)
@@ -292,17 +297,24 @@ class KairosPolicy(SchedulingPolicy):
     ) -> List[Decision]:
         """One-pending-query round without the matrix/solver scaffolding.
 
-        Performs the exact floating-point operations of the full path — per-group
-        ``predict_many_ms`` calls in the same order (a stochastic estimator's RNG
-        stream is part of the seed contract), the Eq. 3/Eq. 8 fold, the Eq. 2
-        weighting — ending in the same first-minimum ``argmin`` the JV solver applies
-        to single-row matchings, so decisions are byte-identical.
+        Scores the bind's full column layout through the cached plan and performs
+        the exact floating-point operations of the matrix path over the eligible
+        servers — per-group ``predict_many_ms`` calls in the same order (a
+        stochastic estimator's RNG stream is part of the seed contract), the
+        Eq. 3/Eq. 8 fold, the Eq. 2 weighting.  Blocks without an eligible server
+        issue no estimator call, and ineligible columns are set to ``+inf`` before
+        the same first-minimum ``argmin`` the JV solver applies to single-row
+        matchings, so the decision is byte-identical to the one over the filtered
+        eligible view.
         """
         distributor = self._distributor
         estimator = distributor.estimator
         plan, usage, weights, tmp, feasible = self._single_plan(
             columns, distributor.coefficients
         )
+        masked = columns_state.masked
+        if masked:
+            plan = [plan[g] for g in columns_state.call_order()]
         predict = estimator.predict_many_ms
         for type_name, off_view, usage_view, cols in plan:
             predicted = predict(type_name, batches)
@@ -318,6 +330,8 @@ class KairosPolicy(SchedulingPolicy):
             feasible, usage, distributor.penalty_factor * distributor.qos_ms
         )
         np.multiply(penalized, weights, out=penalized)
+        if masked:
+            np.copyto(penalized, np.inf, where=columns_state.ineligible)
         col = int(penalized.argmin())
         if self._defer_violations and not feasible[col]:
             if not self._is_hopeless(query, columns_state.unique_keys(), now_ms):
@@ -536,13 +550,20 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         columns = columns_state.refresh(now_ms)
         if columns is None:
             return []
-        eligible_indices = columns.indices
 
         considered, batches, arrivals = _round_rows(pending, self._max_queries_per_round)
         if len(considered) == 1:
             return self._schedule_single(
-                considered[0], batches, max(0.0, now_ms - arrivals[0]), columns, now_ms
+                considered[0],
+                batches,
+                max(0.0, now_ms - arrivals[0]),
+                columns,
+                columns_state,
+                now_ms,
             )
+        # multi-row rounds match over the gathered eligible view (see KairosPolicy)
+        columns = columns_state.eligible_view()
+        eligible_indices = columns.indices
         waits = np.maximum(now_ms - arrivals, 0.0)
         query_models = resolve_query_models(considered, self._qos_by_model)
         row_scale = self._row_cost_scale(considered, now_ms)
@@ -700,8 +721,9 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         """Per-(columns, coefficients, model) plan for single-query joint rounds.
 
         Mirrors :meth:`KairosPolicy._single_plan`: group validation and the weights
-        fill run once per coefficient refresh; the plan keeps stable views only for
-        the query model's blocks (cross-model blocks never leave the row penalty).
+        fill run once per coefficient refresh.  The plan has one entry per block of
+        the full layout (indexed like ``columns.groups``); cross-model entries are
+        ``None`` because those blocks never leave the row penalty.
         """
         cached = self._single_scratch
         coefficients_root = self._coefficients
@@ -735,30 +757,33 @@ class MultiModelKairosPolicy(SchedulingPolicy):
                 raise ValueError("heterogeneity coefficients must be positive")
             weights[cols] = coefficient
             if group_model != model_name:
-                continue  # cross-model block: stays at the row penalty, no estimator call
-            if isinstance(cols, slice):
+                # cross-model block: stays at the row penalty, no estimator call
+                plan.append(None)
+            elif isinstance(cols, slice):
                 plan.append((type_name, offsets[cols], usage[cols], None))
             else:
                 plan.append((type_name, offsets, None, cols))
-        full_mask = self._model_masks[model_name]
-        indices = columns.indices
-        if len(indices) == full_mask.shape[0]:
-            same_model = full_mask
-        else:
-            same_model = full_mask[np.asarray(indices, dtype=np.intp)]
-        state = (plan, usage, weights, tmp, feasible, same_model)
+        state = (plan, usage, weights, tmp, feasible, self._model_masks[model_name])
         plans[model_name] = state
         return state
 
     def _schedule_single(
-        self, query: Query, batches: np.ndarray, wait, columns, now_ms: float
+        self,
+        query: Query,
+        batches: np.ndarray,
+        wait,
+        columns,
+        columns_state: RoundColumnState,
+        now_ms: float,
     ) -> List[Decision]:
         """One-pending-query joint round (see :meth:`KairosPolicy._schedule_single`).
 
-        Reproduces the joint matrix's single row exactly: every (model, type) block
-        contributes its weight (and its coefficient validation), but only the query's
-        own model issues estimator calls — cross-model columns keep the row's Eq. 8
-        penalty and are never committed.
+        Reproduces the joint matrix's single row over the eligible servers exactly,
+        scored on the full layout: every (model, type) block contributes its weight
+        (and its coefficient validation), but only the query's own model's blocks
+        that hold an eligible server issue estimator calls — cross-model columns
+        keep the row's Eq. 8 penalty and are never committed.  Ineligible columns
+        are set to ``+inf`` before the first-minimum ``argmin``.
         """
         model_name = resolve_query_models((query,), self._qos_by_model)[0]
         if model_name not in self._model_masks:
@@ -772,8 +797,14 @@ class MultiModelKairosPolicy(SchedulingPolicy):
             columns, model_name
         )
         usage.fill(penalty)
+        masked = columns_state.masked
+        if masked:
+            plan = [plan[g] for g in columns_state.call_order()]
         predict = self._estimators[model_name].predict_many_ms
-        for type_name, off_view, usage_view, cols in plan:
+        for entry in plan:
+            if entry is None:
+                continue  # cross-model block
+            type_name, off_view, usage_view, cols = entry
             predicted = predict(type_name, batches)
             if usage_view is not None:
                 np.add(off_view, predicted[0], out=usage_view)
@@ -784,6 +815,8 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         feasible &= same_model
         penalized = np.where(feasible, usage, penalty)
         np.multiply(penalized, weights, out=penalized)
+        if masked:
+            np.copyto(penalized, np.inf, where=columns_state.ineligible)
         col = int(penalized.argmin())
         if not same_model[col]:
             # an instance of another model can never serve this query: always defer

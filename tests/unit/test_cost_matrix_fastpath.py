@@ -3,13 +3,18 @@
 The optimization contract is strict: one ``predict_many_ms`` call per instance *type*
 per scheduling round (instead of one per server), and an ``L`` matrix element-wise
 identical to the seed per-server implementation (reproduced here as
-``reference_build_cost_matrix``).
+``reference_build_cost_matrix``).  Single-query rounds that mask ineligible servers
+on the full column layout must decide exactly as a from-scratch round over the
+eligible servers (``reference_single_round`` / ``reference_joint_single_round``),
+with the same estimator calls and noisy-estimator RNG stream.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.config import HeterogeneousConfig
 from repro.core.cost_matrix import CostMatrix, build_cost_matrix
@@ -304,3 +309,368 @@ class TestEmptyCases:
         assert matrix.shape == (3, 0)
         assert matrix.usage_ms.size == 0
         assert isinstance(matrix, CostMatrix)
+
+
+# ---------------------------------------------------------------------------------------
+# Masked single-query rounds: the full column layout with ineligible columns at +inf
+# ---------------------------------------------------------------------------------------
+
+
+class RecordingEstimator(LatencyEstimator):
+    """Delegates to an inner estimator, logging every prediction call in order."""
+
+    def __init__(self, inner: LatencyEstimator):
+        self.inner = inner
+        self.calls = []
+
+    def predict_ms(self, instance_type, batch_size):
+        self.calls.append(("one", instance_type))
+        return self.inner.predict_ms(instance_type, batch_size)
+
+    def predict_many_ms(self, instance_type, batch_sizes):
+        self.calls.append(("many", instance_type, len(batch_sizes)))
+        return self.inner.predict_many_ms(instance_type, batch_sizes)
+
+    def observe(self, instance_type, batch_size, latency_ms):
+        self.inner.observe(instance_type, batch_size, latency_ms)
+
+
+def _noisy(profiles, model, seed):
+    from repro.core.latency_model import NoisyLatencyEstimator
+
+    return RecordingEstimator(
+        NoisyLatencyEstimator(PerfectLatencyEstimator(profiles, model), 0.2, rng=seed)
+    )
+
+
+def _rng_state(recording):
+    return recording.inner._rng.bit_generator.state
+
+
+def _twin(recording):
+    """An independent copy of a noisy recording estimator at the same RNG position
+    (the deterministic inner estimator is shared)."""
+    noisy = recording.inner
+    twin = RecordingEstimator(type(noisy)(noisy.inner, noisy.relative_std, rng=0))
+    twin.inner._rng.bit_generator.state = _rng_state(recording)
+    return twin
+
+
+def _hopeless(query, type_names, estimator, now_ms, qos_ms):
+    """The defer rule's escape hatch: no type could meet the deadline even idle."""
+    budget = 0.98 * qos_ms - query.waiting_time_ms(now_ms)
+    if budget <= 0:
+        return True
+    return not any(
+        estimator.predict_ms(name, query.batch_size) <= budget
+        for name in dict.fromkeys(type_names)
+    )
+
+
+def reference_single_round(query, servers, depths, estimator, now_ms, qos_ms, coefficients):
+    """From scratch: ``build_cost_matrix`` over the eligible servers, the first-minimum
+    argmin, then the defer/hopeless rule.  Returns ``[(query_id, server index)]``."""
+    eligible = [j for j, depth in enumerate(depths) if depth <= 1]
+    if not eligible:
+        return []
+    matrix = build_cost_matrix(
+        [query], [servers[j] for j in eligible], estimator, now_ms, qos_ms, coefficients
+    )
+    col = int(np.argmin(matrix.weighted[0]))
+    if not matrix.qos_feasible[0, col] and not _hopeless(
+        query, [s.type_name for s in servers], estimator, now_ms, qos_ms
+    ):
+        return []
+    return [(query.query_id, eligible[col])]
+
+
+def reference_joint_single_round(
+    query, servers, server_models, depths, estimators, now_ms, qos_by_model, coefficients
+):
+    """The multi-model counterpart over the eligible servers' joint single row."""
+    from repro.core.cost_matrix import build_multi_model_cost_matrix
+
+    eligible = [j for j, depth in enumerate(depths) if depth <= 1]
+    if not eligible:
+        return []
+    matrix = build_multi_model_cost_matrix(
+        [query],
+        [servers[j] for j in eligible],
+        [server_models[j] for j in eligible],
+        estimators,
+        now_ms,
+        qos_by_model,
+        coefficients,
+    )
+    col = int(np.argmin(matrix.weighted[0]))
+    if matrix.cross_model[0, col]:
+        return []
+    model = query.model_name
+    own_types = [s.type_name for s, m in zip(servers, server_models) if m == model]
+    if not matrix.qos_feasible[0, col] and not _hopeless(
+        query, own_types, estimators[model], now_ms, qos_by_model[model]
+    ):
+        return []
+    return [(query.query_id, eligible[col])]
+
+
+def _apply_depths(servers, depths, now_ms, rng):
+    """Install queue depths (and matching busy horizons) on the servers that change."""
+    for server, depth in zip(servers, depths):
+        depth = int(depth)
+        if depth == server.local_queue_depth and rng.random() < 0.5:
+            continue  # untouched servers keep their state version
+        server.local_queue_depth = depth
+        server.busy_until_ms = now_ms + float(rng.uniform(1.0, 60.0)) if depth else 0.0
+        server.state_version += 1
+
+
+def _non_contiguous_cluster(profiles, rm2, catalog):
+    """g4dn, g4dn, r5n, r5n, g4dn, r5n: both type blocks are index arrays."""
+    cluster = Cluster(HeterogeneousConfig((2, 0, 2, 0), catalog), rm2, profiles)
+    cluster.add_server("g4dn.xlarge")
+    cluster.add_server("r5n.large")
+    return cluster
+
+
+def _single_model_twins(profiles, rm2, cluster):
+    policy = KairosPolicy(
+        estimator=_noisy(profiles, rm2, 7), coefficient_refresh_interval=10**9
+    )
+    policy.bind(cluster, rm2.qos_ms)
+    policy.estimator.calls.clear()
+    return policy, _twin(policy.estimator)
+
+
+def _check_single_round(policy, twin, cluster, depths, query, now_ms, qos_ms):
+    got = [(q.query_id, j) for q, j in policy.schedule(now_ms, [query], cluster)]
+    want = reference_single_round(
+        query, cluster.servers, depths, twin, now_ms, qos_ms, policy.coefficients
+    )
+    assert got == want
+    # same estimator calls, in the same order, and the same RNG stream position
+    assert policy.estimator.calls == twin.calls
+    assert _rng_state(policy.estimator) == _rng_state(twin)
+    policy.estimator.calls.clear()
+    twin.calls.clear()
+    return got
+
+
+class TestMaskedSingleQueryRounds:
+    """Single-query rounds score the full layout and mask ineligible columns; every
+    decision must equal the from-scratch round over the eligible servers."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "non_contiguous"])
+    def test_random_depths_match_reference(self, profiles, rm2, catalog, layout):
+        if layout == "contiguous":
+            cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        else:
+            cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        policy, twin = _single_model_twins(profiles, rm2, cluster)
+        rng = np.random.default_rng(11)
+        now_ms = 1000.0
+        outcomes = Counter()
+        for round_idx in range(300):
+            now_ms += float(rng.uniform(0.5, 15.0))
+            depths = rng.choice([0, 1, 2, 3], size=len(cluster), p=[0.3, 0.3, 0.3, 0.1])
+            _apply_depths(cluster.servers, depths, now_ms, rng)
+            query = Query(
+                round_idx,
+                int(rng.integers(1, 1001)),
+                now_ms - float(rng.uniform(0.0, 1.2 * rm2.qos_ms)),
+            )
+            got = _check_single_round(
+                policy, twin, cluster, depths, query, now_ms, rm2.qos_ms
+            )
+            masked = bool((depths > 1).any())
+            outcomes[(masked, bool(got))] += 1
+        # non-vacuous: masked rounds both dispatch and defer, unmasked rounds occur
+        assert outcomes[(True, True)] and outcomes[(True, False)]
+        assert outcomes[(False, True)] + outcomes[(False, False)]
+
+    @pytest.mark.parametrize(
+        "depths",
+        [
+            (2, 2, 0, 1, 1, 2),  # leading g4dn servers masked: r5n is called first
+            (2, 2, 1, 0, 2, 1),  # whole g4dn type ineligible
+            (0, 2, 2, 2, 2, 2),  # all but one ineligible
+            (2, 2, 2, 2, 2, 3),  # none eligible
+        ],
+    )
+    def test_edge_masks_non_contiguous(self, profiles, rm2, catalog, depths):
+        cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        policy, twin = _single_model_twins(profiles, rm2, cluster)
+        depths = np.asarray(depths)
+        now_ms = 1000.0
+        _apply_depths(cluster.servers, depths, now_ms, np.random.default_rng(0))
+        for k, batch in enumerate((1, 64, 400, 1000)):
+            query = Query(k, batch, now_ms - 0.3 * k * rm2.qos_ms)
+            got = _check_single_round(policy, twin, cluster, depths, query, now_ms, rm2.qos_ms)
+            if not (depths <= 1).any():
+                assert got == []
+                assert not twin.calls  # nothing eligible: no estimator traffic at all
+
+    def test_whole_type_ineligible_contiguous(self, profiles, rm2, catalog):
+        cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        policy, twin = _single_model_twins(profiles, rm2, cluster)
+        depths = np.asarray([0, 1, 0, 2, 2, 1, 0, 1, 0])  # every c5n.2xlarge queued
+        _apply_depths(cluster.servers, depths, 5.0, np.random.default_rng(0))
+        for k in range(6):
+            _check_single_round(
+                policy, twin, cluster, depths, Query(k, 50 + 150 * k, 5.0), 5.0, rm2.qos_ms
+            )
+        # the fully masked type issues no batched prediction
+        policy.schedule(5.0, [Query(99, 10, 5.0)], cluster)
+        many = [call[1] for call in policy.estimator.calls if call[0] == "many"]
+        assert many == ["g4dn.xlarge", "r5n.large"]
+
+    def test_multi_model_random_depths_match_reference(self, profiles, catalog):
+        from repro.schedulers.kairos_policy import MultiModelKairosPolicy
+        from repro.sim.cluster import MultiModelCluster
+
+        cluster = MultiModelCluster(
+            {
+                "RM2": HeterogeneousConfig((1, 1, 2, 0), catalog),
+                "WND": HeterogeneousConfig((1, 1, 1, 0), catalog),
+            },
+            profiles,
+        )
+        # an appended base server makes the RM2 g4dn block non-contiguous
+        cluster.add_server("RM2", "g4dn.xlarge")
+        view = cluster.active_view()
+        estimators = {
+            name: _noisy(profiles, profiles.models[name], seed)
+            for seed, name in enumerate(("RM2", "WND"))
+        }
+        policy = MultiModelKairosPolicy(estimators, coefficient_refresh_interval=10**9)
+        policy.bind(view)
+        twins = {name: _twin(est) for name, est in estimators.items()}
+        servers, server_models = view.servers, view.server_models()
+        qos = view.qos_by_model()
+        rng = np.random.default_rng(5)
+        now_ms = 1000.0
+        outcomes = Counter()
+        for round_idx in range(300):
+            for est in (*estimators.values(), *twins.values()):
+                est.calls.clear()
+            now_ms += float(rng.uniform(0.5, 15.0))
+            depths = rng.choice([0, 1, 2], size=len(servers), p=[0.3, 0.3, 0.4])
+            _apply_depths(servers, depths, now_ms, rng)
+            model = "RM2" if rng.random() < 0.5 else "WND"
+            query = Query(
+                round_idx,
+                int(rng.integers(1, 1001)),
+                now_ms - float(rng.uniform(0.0, 1.2 * qos[model])),
+                model_name=model,
+            )
+            got = [(q.query_id, j) for q, j in policy.schedule(now_ms, [query], view)]
+            want = reference_joint_single_round(
+                query,
+                servers,
+                server_models,
+                depths,
+                twins,
+                now_ms,
+                qos,
+                policy.coefficients_by_model,
+            )
+            assert got == want
+            for name in estimators:
+                assert estimators[name].calls == twins[name].calls
+                assert _rng_state(estimators[name]) == _rng_state(twins[name])
+            outcomes[(bool((depths > 1).any()), bool(got))] += 1
+        assert outcomes[(True, True)] and outcomes[(True, False)]
+
+
+class TestEligibilityMask:
+    """The persistent mask and per-group counts track ``depths > 1`` exactly."""
+
+    @pytest.mark.parametrize("multi_key", [False, True])
+    def test_mask_counts_and_views_follow_transitions(
+        self, profiles, rm2, catalog, multi_key
+    ):
+        from repro.core.cost_matrix import RoundColumnState, group_columns
+
+        cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        cluster.add_server("c5n.2xlarge")
+        servers = cluster.servers
+        keys = (
+            [(("A", "B")[j % 2], s.type_name) for j, s in enumerate(servers)]
+            if multi_key
+            else [s.type_name for s in servers]
+        )
+        state = RoundColumnState(servers, keys=keys)
+        full_groups = group_columns(keys)
+        rng = np.random.default_rng(3)
+        now_ms = 1000.0
+        full = None
+        for _ in range(200):
+            now_ms += float(rng.uniform(0.5, 10.0))
+            depths = rng.choice([0, 1, 2, 3], size=len(servers), p=[0.3, 0.3, 0.3, 0.1])
+            _apply_depths(servers, depths, now_ms, rng)
+            view = state.refresh(now_ms)
+            eligible = np.flatnonzero(depths <= 1)
+            if eligible.size == 0:
+                assert view is None
+                continue
+            full = view if full is None else full
+            assert view is full  # one stable full-layout object per bind
+            assert np.array_equal(state.ineligible, depths > 1)
+            assert state.masked == bool((depths > 1).any())
+            assert state.eligible_counts == [
+                int((depths[np.arange(len(servers))[cols]] <= 1).sum())
+                for _, cols in full_groups
+            ]
+            expected_offsets = np.asarray(
+                [max(0.0, s.busy_until_ms - now_ms) + s.dispatch_overhead_ms for s in servers]
+            )
+            assert np.array_equal(view.offsets, expected_offsets)
+            filtered = state.eligible_view()
+            assert filtered.indices == eligible.tolist()
+            assert np.array_equal(filtered.offsets, expected_offsets[eligible])
+            want_groups = group_columns([keys[j] for j in eligible])
+            assert [k for k, _ in filtered.groups] == [k for k, _ in want_groups]
+            for (_, got_cols), (_, want_cols) in zip(filtered.groups, want_groups):
+                assert np.array_equal(
+                    np.arange(len(eligible))[got_cols], np.arange(len(eligible))[want_cols]
+                )
+            # the masked call order lists exactly the filtered view's blocks
+            assert [view.groups[g][0] for g in state.call_order()] == [
+                k for k, _ in want_groups
+            ]
+
+
+# Without the explain phase: it re-renders each failing example's traceback, which
+# takes minutes here and would hide a real failure behind an apparent hang.
+@settings(
+    max_examples=40,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink),
+)
+@given(
+    rounds=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), min_size=6, max_size=6),
+            st.integers(1, 1000),
+            st.floats(0.0, 40.0),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_masked_single_round_property(profiles, catalog, rounds):
+    """Any sequence of queue depths: masked decisions equal the from-scratch round,
+    with identical estimator calls and RNG stream on a noisy twin."""
+    from repro.cloud.models import get_model
+
+    rm2 = get_model("RM2")
+    cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+    policy, twin = _single_model_twins(profiles, rm2, cluster)
+    rng = np.random.default_rng(0)
+    now_ms = 1000.0
+    for k, (depths, batch, wait) in enumerate(rounds):
+        now_ms += 5.0
+        depths = np.asarray(depths)
+        _apply_depths(cluster.servers, depths, now_ms, rng)
+        _check_single_round(
+            policy, twin, cluster, depths, Query(k, batch, now_ms - wait), now_ms, rm2.qos_ms
+        )

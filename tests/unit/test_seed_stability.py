@@ -100,7 +100,7 @@ class TestSeedStability:
         assert [q.arrival_time_ms for q in a] != [q.arrival_time_ms for q in b]
 
 
-def _mm_elastic_run(profiles, catalog, *, noise=None):
+def _mm_elastic_run(profiles, catalog, *, noise=None, rates=(30.0, 110.0), policy=None):
     """A 2-model co-located elastic scenario: scripted per-model scale events."""
     cluster = MultiModelCluster(
         {
@@ -110,7 +110,7 @@ def _mm_elastic_run(profiles, catalog, *, noise=None):
         profiles,
     )
     streams = {}
-    for i, (name, rate) in enumerate((("RM2", 30.0), ("WND", 110.0))):
+    for i, (name, rate) in enumerate(zip(("RM2", "WND"), rates)):
         spec = WorkloadSpec(
             batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
             num_queries=100,
@@ -124,7 +124,7 @@ def _mm_elastic_run(profiles, catalog, *, noise=None):
     ]
     sim = MultiModelServingSimulation(
         cluster,
-        MultiModelKairosPolicy(),
+        MultiModelKairosPolicy() if policy is None else policy,
         scripted_events=events,
         startup_delay_ms=250.0,
         noise=noise,
@@ -289,8 +289,8 @@ class TestHashSeedStability:
 #
 # The digests below were captured by running these exact scenarios on the commit
 # *before* the engine overhaul (flat-array JV core, equal-timestamp pop_batch
-# coalescing, incremental cost matrices, single-query fast paths) with
-# tools/_capture_digests.py.  Asserting them here proves the rewritten paths
+# coalescing, incremental cost matrices, single-query fast paths) through this
+# module's own ``_digest_of``.  Asserting them here proves the rewritten paths
 # reproduce the seed event-at-a-time loop's ServingMetrics (and scale logs) byte for
 # byte — per seed, with and without service noise — not merely that repeat runs of
 # the new code agree with each other.
@@ -401,3 +401,72 @@ class TestEngineOverhaulByteIdentity:
         assert digest == _PRE_OVERHAUL_DIGESTS[key]
         # non-vacuous: the preemption machinery actually fired
         assert "preempted" in [e.kind for e in report.scale_log]
+
+
+# ---------------------------------------------------------------------------------------
+# Near-capacity rounds: single-query decisions over a masked column layout
+# ---------------------------------------------------------------------------------------
+#
+# Captured with ``_digest_of`` on the commit before single-query rounds switched from
+# a re-gathered eligible view to the stable full layout with ineligible columns
+# masked.  Unlike the 40-qps pins above, these runs sit near capacity, so most
+# single-query rounds see at least one server with a queued dispatch (asserted).
+_MASKED_ROUND_DIGESTS = {
+    "steady": "6c90e463b05b6843",
+    "multi_model": "527d45363e4a656c",
+}
+
+
+def _mask_counting(base):
+    """``base`` policy that counts single-query rounds and those with a server
+    holding a queued dispatch (local queue depth > 1, i.e. ineligible)."""
+
+    class MaskCounting(base):
+        single_rounds = 0
+        masked_rounds = 0
+
+        def schedule(self, now_ms, pending, cluster):
+            if len(pending) == 1:
+                self.single_rounds += 1
+                if any(s.local_queue_depth > 1 for s in cluster):
+                    self.masked_rounds += 1
+            return super().schedule(now_ms, pending, cluster)
+
+    return MaskCounting()
+
+
+class TestNearCapacityByteIdentity:
+    def test_steady_shaped_static_run(self, profiles, catalog):
+        """The ``steady`` benchmark's shape at a tenth of its length: RM2 Poisson at
+        290 qps on (6, 6, 12, 0), 5% service noise, online learning."""
+        spec = WorkloadSpec(
+            batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
+            num_queries=400,
+        )
+        queries = WorkloadGenerator(spec).generate(rate_qps=290.0, rng=SEED)
+        policy = _mask_counting(KairosPolicy)
+        report = simulate_serving(
+            HeterogeneousConfig((6, 6, 12, 0), catalog),
+            profiles.models["RM2"],
+            profiles,
+            policy,
+            queries,
+            noise=gaussian_service_noise(0.05),
+            rng=np.random.default_rng(SEED + 1),
+        )
+        digest = _digest_of([_record_tuple(r) for r in report.metrics.records])
+        assert digest == _MASKED_ROUND_DIGESTS["steady"]
+        assert policy.masked_rounds >= 0.5 * policy.single_rounds > 0
+
+    def test_multi_model_run(self, profiles, catalog):
+        """The co-located elastic scenario above at twice its rates."""
+        policy = _mask_counting(MultiModelKairosPolicy)
+        report = _mm_elastic_run(profiles, catalog, rates=(60.0, 200.0), policy=policy)
+        parts = []
+        for name in report.metrics.model_names:
+            parts.extend(_record_tuple(r) for r in report.metrics.of_model(name).records)
+        parts.extend(
+            (e.time_ms, e.kind, e.type_name, e.count) for e in report.scale_log
+        )
+        assert _digest_of(parts) == _MASKED_ROUND_DIGESTS["multi_model"]
+        assert policy.masked_rounds >= 0.5 * policy.single_rounds > 0

@@ -6,7 +6,7 @@
 # two stages modified no tracked file (untracked and ignored outputs are fine);
 # the `bench-smoke` perf stage, which re-measures the hot paths at the quick
 # scale and fails on a >30% machine-normalized regression against the committed
-# BENCH_perf.json; and the
+# BENCH_perf.json without rewriting it (--dry-run); and the
 # `fuzz-smoke` stage, a bounded scenario-fuzzer pass over every serving loop
 # plus a full replay of the committed tests/regression/ corpus; and the
 # `chaos-smoke` stage, a fault-enabled campaign (unannounced crashes, storms,
@@ -17,7 +17,8 @@
 # and the `health-smoke` stage, a gray-failure campaign (permanent
 # degradations, flaky windows, zombie servers, health scoring, quarantine
 # breakers, hedged dispatch) plus the `gray`-marked tests and an explicit
-# replay of the committed gray scenarios.
+# replay of the committed gray scenarios.  A final clean-tree check repeats the
+# first one over the whole run, so a full CI pass leaves tracked files untouched.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -39,15 +40,20 @@ python -m pytest tests -x -q --hypothesis-profile=ci "$@"
 echo "== smoke benchmarks =="
 python -m pytest benchmarks -m smoke -q "$@"
 
-echo "== clean-tree: the test stages must not modify tracked files =="
-if [ "$(tracked_state)" != "$tracked_before" ]; then
-    echo "tracked files modified by the test stages:" >&2
-    git status --porcelain --untracked-files=no >&2
-    exit 1
-fi
+# Fails when any tracked file changed since the start of the run.
+check_clean_tree() {
+    if [ "$(tracked_state)" != "$tracked_before" ]; then
+        echo "tracked files modified by $1:" >&2
+        git status --porcelain --untracked-files=no >&2
+        exit 1
+    fi
+}
 
-echo "== bench-smoke: perf regression gate =="
-python tools/bench.py --quick
+echo "== clean-tree: the test stages must not modify tracked files =="
+check_clean_tree "the test stages"
+
+echo "== bench-smoke: perf regression gate (measures and compares, writes nothing) =="
+python tools/bench.py --quick --dry-run
 
 echo "== fuzz-smoke: bounded invariant fuzzing + regression corpus replay =="
 python tools/fuzz.py --budget 25 --seed 1
@@ -68,5 +74,8 @@ echo "== health-smoke: gray-failure fuzzing + gray-marked tests + gray corpus re
 python tools/fuzz.py --budget 25 --seed 4 --gray
 python -m pytest tests -m gray -q --hypothesis-profile=ci "$@"
 python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
+
+echo "== clean-tree: the whole run must not modify tracked files =="
+check_clean_tree "the CI run"
 
 echo "CI gate passed."
