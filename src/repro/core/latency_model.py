@@ -35,6 +35,11 @@ from repro.utils.validation import check_non_negative, check_positive
 class LatencyEstimator:
     """Interface: predict and learn per-(instance type, batch size) query latency."""
 
+    #: Version of the estimator's beliefs for callers that memoize predictions:
+    #: while it holds one value, every prediction is a pure function of the inputs.
+    #: ``None`` means a prediction may differ between calls, so never reuse one.
+    belief_version: Optional[int] = None
+
     def predict_ms(self, instance_type: str, batch_size: int) -> float:
         """Predicted service latency in milliseconds."""
         raise NotImplementedError
@@ -52,6 +57,8 @@ class LatencyEstimator:
 
 class PerfectLatencyEstimator(LatencyEstimator):
     """Oracle estimator backed by the true latency profiles."""
+
+    belief_version = 0  # the true profiles never change
 
     def __init__(self, profiles: ProfileRegistry, model: Union[str, MLModel]):
         self._profiles = profiles
@@ -109,6 +116,7 @@ class OnlineLatencyEstimator(LatencyEstimator):
         # Same idea for the dominant single-query rounds: 1-element prediction vectors
         # keyed by (type, batch value), invalidated exactly like the vector cache.
         self._scalar_cache: Dict[str, Dict[int, np.ndarray]] = {}
+        self.belief_version = 0
 
     # -- learning ---------------------------------------------------------------------
     def observe(self, instance_type: str, batch_size: int, latency_ms: float) -> None:
@@ -118,6 +126,7 @@ class OnlineLatencyEstimator(LatencyEstimator):
             raise ValueError("batch_size must be >= 1")
         self._prediction_cache.pop(instance_type, None)
         self._scalar_cache.pop(instance_type, None)
+        self.belief_version += 1  # invalidates callers' memoized predictions too
         state = self._state.setdefault(instance_type, _TypeState(table={}))
         mean, count = state.table.get(int(batch_size), (0.0, 0))
         count += 1

@@ -18,7 +18,7 @@ by the regression byte-identity suite).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,12 +69,24 @@ class CriticalPathKairosPolicy(MultiModelKairosPolicy):
         self._urgency_frac = float(urgency_frac)
 
     # -- lifecycle -----------------------------------------------------------------------
-    def on_bind(self) -> None:
-        super().on_bind()
-        self.coordinator.bind_predictor(self._predict_stage_ms)
+    def _bind_columns(self, cluster) -> None:
+        super()._bind_columns(cluster)
+        # A (re)bind may change a model's instance types, which the stage belief
+        # mins over: rebinding the predictor starts a fresh belief version.
+        self.coordinator.bind_predictor(self._predict_stage_ms, self._belief_version)
+
+    def _belief_version(self) -> Optional[Tuple[int, ...]]:
+        """Version of :meth:`_predict_stage_ms`: its estimators' belief versions,
+        or ``None`` when one of them is not a pure function of its observations."""
+        versions = tuple(e.belief_version for e in self._estimators.values())
+        return None if None in versions else versions
 
     def _predict_stage_ms(self, model_name: str, batch_size: int) -> float:
-        """Best-case service belief: the fastest type the model's partition offers."""
+        """Best-case service belief: the fastest type the model's partition offers.
+
+        The coordinator memoizes these answers per :meth:`_belief_version` and
+        per bind, so each ``(model, batch)`` is predicted once per belief.
+        """
         estimator = self._estimators.get(model_name)
         type_names = self._round_types_of.get(model_name, ())
         if estimator is None or not type_names:

@@ -12,13 +12,23 @@ simulation) and *how urgent is this pending stage?* (the policy's laxity term).
 
 Slack is ``deadline_abs - now - critical_path_remaining``: the critical path of the
 not-yet-served sub-DAG under the coordinator's current predictor (bound by the
-policy to its online estimators), recomputed at every release.
+policy to its online estimators), refreshed at every release.
+
+The predictor is asked once per ``(model, batch)`` per *belief version*: the bind
+count plus a token the binder supplies that changes whenever the predictor's
+answers could (an online estimator's observation); the policy re-binds whenever a
+model's instance types may change.  Per-stage
+predictions, each graph's per-stage critical path and its remaining critical path
+are memoized against that version, so the per-round slack checks cost a lookup per
+live graph, and every value equals what a from-scratch recomputation gives.  A
+predictor without a version (or whose version is ``None``, e.g. a noisy estimator)
+is asked afresh on every query, with the same calls in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.pipeline.graph import StagePredictor, TaskGraph
 from repro.sim.metrics import QueryRecord
@@ -69,6 +79,10 @@ class GraphRuntime:
         "critical_path_initial",
         "first_start_ms",
         "last_end_ms",
+        "_cpr",
+        "_cpr_key",
+        "_remaining",
+        "_remaining_key",
     )
 
     def __init__(self, graph: TaskGraph, queries: Dict[str, Query]):
@@ -90,6 +104,11 @@ class GraphRuntime:
         self.critical_path_initial: Optional[float] = None
         self.first_start_ms: Optional[float] = None
         self.last_end_ms: Optional[float] = None
+        # memoized critical paths and the belief keys they were computed under
+        self._cpr: Dict[str, float] = {}
+        self._cpr_key = None
+        self._remaining = 0.0
+        self._remaining_key = None
 
     # -- state probes -------------------------------------------------------------------
     def terminal_stage(self, name: str) -> bool:
@@ -102,15 +121,36 @@ class GraphRuntime:
     def unreleased(self) -> List[str]:
         return [s.name for s in self.graph.stages if s.name not in self.released]
 
-    def remaining_critical_path_ms(self, predict: StagePredictor) -> float:
+    def critical_path_remaining(
+        self, predict: StagePredictor, key: Optional[Hashable] = None
+    ) -> Dict[str, float]:
+        """The graph's per-stage critical path under ``predict``, memoized per ``key``.
+
+        ``key`` is the belief version ``predict`` answers under; ``None`` recomputes.
+        A memoized dict is shared by every caller until the key changes: read it only.
+        """
+        if key is None:
+            return self.graph.critical_path_remaining(predict)
+        if self._cpr_key != key:
+            self._cpr = self.graph.critical_path_remaining(predict)
+            self._cpr_key = key
+        return self._cpr
+
+    def remaining_critical_path_ms(
+        self, predict: StagePredictor, key: Optional[Hashable] = None
+    ) -> float:
         """Critical path of the not-yet-served sub-DAG (0 when everything served).
 
         Completion is monotone along precedence, so the unserved set is closed
         under successors; the remaining path is the longest chain hanging off the
-        frontier (unserved stages whose parents are all served).
+        frontier (unserved stages whose parents are all served).  Memoized per
+        ``(key, stages served)`` like :meth:`critical_path_remaining`.
         """
         if self.outcome is not None and self.outcome != GRAPH_SERVED:
             return 0.0
+        served = len(self.served)
+        if key is not None and self._remaining_key == (key, served):
+            return self._remaining
         cpr = None
         best = 0.0
         for stage in self.graph.stages:
@@ -119,12 +159,21 @@ class GraphRuntime:
             if any(p not in self.served for p in stage.parents):
                 continue
             if cpr is None:
-                cpr = self.graph.critical_path_remaining(predict)
+                cpr = self.critical_path_remaining(predict, key)
             best = max(best, cpr[stage.name])
+        if key is not None:
+            self._remaining = best
+            self._remaining_key = (key, served)
         return best
 
-    def slack_at(self, now_ms: float, predict: StagePredictor) -> float:
-        return self.graph.deadline_abs_ms() - now_ms - self.remaining_critical_path_ms(predict)
+    def slack_at(
+        self, now_ms: float, predict: StagePredictor, key: Optional[Hashable] = None
+    ) -> float:
+        return (
+            self.graph.deadline_abs_ms()
+            - now_ms
+            - self.remaining_critical_path_ms(predict, key)
+        )
 
 
 class PipelineCoordinator:
@@ -134,6 +183,11 @@ class PipelineCoordinator:
         self._runtimes: List[GraphRuntime] = []
         self._stage_of: Dict[int, Tuple[GraphRuntime, str]] = {}
         self._predict: Optional[StagePredictor] = None
+        self._version: Optional[Callable[[], Optional[Hashable]]] = None
+        self._binds = 0
+        # (model, batch) -> predicted stage ms, valid under belief key ``_memo_key``
+        self._memo: Dict[Tuple[str, int], float] = {}
+        self._memo_key: Optional[Tuple] = None
 
     # -- setup --------------------------------------------------------------------------
     def register(self, runtime: GraphRuntime) -> None:
@@ -145,9 +199,22 @@ class PipelineCoordinator:
             self._stage_of[query.query_id] = (runtime, name)
         self._runtimes.append(runtime)
 
-    def bind_predictor(self, predict: StagePredictor) -> None:
-        """Install the per-stage service-time belief (the policy's estimators)."""
+    def bind_predictor(
+        self,
+        predict: StagePredictor,
+        version: Optional[Callable[[], Optional[Hashable]]] = None,
+    ) -> None:
+        """Install the per-stage service-time belief (the policy's estimators).
+
+        ``version()`` returns a hashable token that changes whenever ``predict``
+        could answer differently, or ``None`` while its answers are not a pure
+        function of state; predictions are memoized per token.  Without
+        ``version``, every belief is recomputed from scratch.  Each bind starts
+        a fresh belief, so nothing memoized under an earlier one is reused.
+        """
         self._predict = predict
+        self._version = version
+        self._binds += 1
 
     @property
     def active(self) -> bool:
@@ -164,6 +231,31 @@ class PipelineCoordinator:
 
     def stage_of(self, query_id: int) -> Optional[Tuple[GraphRuntime, str]]:
         return self._stage_of.get(query_id)
+
+    # -- belief cache -------------------------------------------------------------------
+    def _belief(self) -> Tuple[StagePredictor, Optional[Tuple]]:
+        """``(predict, key)`` for the current belief.
+
+        A versioned belief yields the memoized predictor and its key, equal for
+        as long as the belief holds; an unversioned one yields the bare predictor
+        and ``None``.
+        """
+        token = self._version() if self._version is not None else None
+        if token is None:
+            return self.predict, None
+        key = (self._binds, token)
+        if key != self._memo_key:
+            self._memo_key = key
+            self._memo = {}
+        return self._memoized_predict, key
+
+    def _memoized_predict(self, model_name: str, batch_size: int) -> float:
+        ms = self._memo.get((model_name, batch_size))
+        if ms is None:
+            ms = self._memo[(model_name, batch_size)] = self._predict(
+                model_name, batch_size
+            )
+        return ms
 
     # -- release semantics --------------------------------------------------------------
     def complete_stage(self, record: QueryRecord, now_ms: float) -> List[Query]:
@@ -205,14 +297,22 @@ class PipelineCoordinator:
             runtime.queries[child] = query
             released.append(query)
         if released:
-            runtime.slack_ms = runtime.slack_at(now_ms, self.predict)
+            runtime.slack_ms = runtime.slack_at(now_ms, *self._belief())
         return released
 
     # -- doom / shed bookkeeping --------------------------------------------------------
-    def ensure_initial_critical_path(self, runtime: GraphRuntime) -> float:
-        """Snapshot the predicted end-to-end critical path (first scheduling access)."""
+    def ensure_initial_critical_path(
+        self, runtime: GraphRuntime, belief: Optional[Tuple] = None
+    ) -> float:
+        """Snapshot the predicted end-to-end critical path (first scheduling access).
+
+        ``belief`` is the caller's current ``(predict, key)`` from :meth:`_belief`.
+        """
         if runtime.critical_path_initial is None:
-            runtime.critical_path_initial = runtime.graph.critical_path_ms(self.predict)
+            cpr = runtime.critical_path_remaining(*(belief or self._belief()))
+            runtime.critical_path_initial = max(
+                cpr[s.name] for s in runtime.graph.sources()
+            )
         return runtime.critical_path_initial
 
     def doomed(self, now_ms: float, *, margin_frac: float = 0.0) -> List[GraphRuntime]:
@@ -228,15 +328,14 @@ class PipelineCoordinator:
         """
         if self._predict is None:
             return []
+        belief = self._belief()
         doomed: List[GraphRuntime] = []
         for runtime in self._runtimes:
             if runtime.outcome is not None:
                 continue
-            if not runtime.pending_released() and not runtime.unreleased():
-                continue  # everything is in flight; nothing left to shed
-            self.ensure_initial_critical_path(runtime)
+            self.ensure_initial_critical_path(runtime, belief)
             margin = margin_frac * runtime.graph.deadline_ms
-            if runtime.slack_at(now_ms, self.predict) < -margin:
+            if runtime.slack_at(now_ms, *belief) < -margin:
                 doomed.append(runtime)
         return doomed
 
@@ -296,8 +395,9 @@ class PipelineCoordinator:
         runtime, name = entry
         if runtime.outcome is not None and runtime.outcome != GRAPH_SERVED:
             return 1.0
-        self.ensure_initial_critical_path(runtime)
-        cpr = runtime.graph.critical_path_remaining(self.predict)
+        belief = self._belief()
+        self.ensure_initial_critical_path(runtime, belief)
+        cpr = runtime.critical_path_remaining(*belief)
         laxity = runtime.graph.deadline_abs_ms() - now_ms - cpr[name]
         window = urgency_frac * runtime.graph.deadline_ms
         scale = min_scale + (1.0 - min_scale) * (laxity / window)

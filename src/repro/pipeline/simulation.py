@@ -46,7 +46,7 @@ from repro.sim.multi_model import (
     MultiModelServingSimulation,
     MultiModelSimulationReport,
 )
-from repro.workload.query import Query
+from repro.workload.query import Query, check_unique_query_ids
 
 
 class PipelineServingSimulation(MultiModelServingSimulation):
@@ -100,6 +100,11 @@ class PipelineServingSimulation(MultiModelServingSimulation):
 
     # -- run ----------------------------------------------------------------------------
     def run(self, queries: Sequence[Query]) -> MultiModelSimulationReport:
+        # successor stages join the stream mid-run under their registered ids
+        successors = [
+            r.queries[n] for r in self.coordinator.runtimes for n in r.unreleased()
+        ]
+        check_unique_query_ids([*queries, *successors])
         if self.coordinator.active:
             for runtime in self.coordinator.runtimes:
                 for stage in runtime.graph.stages:

@@ -56,7 +56,7 @@ from repro.sim.pending import PendingQueue
 from repro.sim.server import ServerInstance, ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
-from repro.workload.query import Query
+from repro.workload.query import Query, check_unique_query_ids
 
 
 def _probe_batches(max_batch: int) -> List[int]:
@@ -378,6 +378,7 @@ class ElasticServingSimulation:
                 "(and controller) for another run"
             )
         self._ran = True
+        check_unique_query_ids(queries)
         # An empty stream is a valid no-op: zero offered load serves zero queries
         # with empty metrics (scripted provisioning events still apply).
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))

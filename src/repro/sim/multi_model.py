@@ -61,7 +61,7 @@ from repro.sim.pending import PendingQueue
 from repro.sim.server import ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
-from repro.workload.query import Query
+from repro.workload.query import Query, check_unique_query_ids
 
 
 @dataclass
@@ -270,6 +270,7 @@ class MultiModelServingSimulation:
                 "another run"
             )
         self._ran = True
+        check_unique_query_ids(queries)
         # An empty stream is a valid no-op: zero offered load serves zero queries
         # with empty metrics (scripted provisioning events still apply).
         sole = self.cluster.model_names[0] if len(self.cluster.model_names) == 1 else None

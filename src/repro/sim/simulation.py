@@ -41,7 +41,7 @@ from repro.sim.metrics import QueryRecord, ServingMetrics
 from repro.sim.pending import PendingQueue
 from repro.sim.server import ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
-from repro.workload.query import Query
+from repro.workload.query import Query, check_unique_query_ids
 
 
 @dataclass
@@ -128,6 +128,7 @@ class ServingSimulation:
 
         An empty stream is a valid no-op and returns a report with empty metrics.
         """
+        check_unique_query_ids(queries)
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))
         self.cluster.reset()
         if self.admission is not None:

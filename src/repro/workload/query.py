@@ -9,7 +9,7 @@ its arrival, including any time spent waiting in the central queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -73,3 +73,17 @@ class Query:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         tag = f", {self.model_name}" if self.model_name else ""
         return f"Q{self.query_id}(b={self.batch_size}, t={self.arrival_time_ms:.2f}ms{tag})"
+
+
+def check_unique_query_ids(queries: Iterable[Query]) -> None:
+    """Reject an input stream in which two queries share a ``query_id``.
+
+    Every serving loop keys its bookkeeping (pending set, retries, deadlines,
+    records) on the id, so a duplicate is either served twice or collides mid-run;
+    the loops call this before any event fires.
+    """
+    seen = set()
+    for query in queries:
+        if query.query_id in seen:
+            raise ValueError(f"duplicate query id {query.query_id} in the input stream")
+        seen.add(query.query_id)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cloud.config import HeterogeneousConfig
+from repro.core.latency_model import NoisyLatencyEstimator, PerfectLatencyEstimator
 from repro.pipeline import (
     CriticalPathKairosPolicy,
     PipelineServingSimulation,
@@ -23,6 +25,7 @@ from repro.pipeline import (
 )
 from repro.pipeline.runtime import (
     GRAPH_DEAD,
+    GRAPH_SERVED,
     GRAPH_SHED,
     GRAPH_UNSERVED,
 )
@@ -446,3 +449,282 @@ class TestPipelineSimulation:
         assert digest(a) == digest(b)
         assert pipe.graph_outcomes == []
         assert pipe.released_queries == []
+
+
+# ---------------------------------------------------------------------------------------
+# Belief cache: memoized critical paths equal a from-scratch recomputation
+# ---------------------------------------------------------------------------------------
+
+MIN_SCALE, URGENCY = 0.1, 0.5
+
+
+def belief_setup(profiles, *, perfect=False, estimators=None):
+    """Three overlapping two-model graphs under a bound critical-path policy."""
+    graphs = [
+        diamond_graph(0, ("RM2", 8), ("WND", 4), ("RM2", 16), ("WND", 2), 600.0),
+        chain_graph(1, [("WND", 32), ("RM2", 4), ("WND", 8)], 900.0, release_ms=20.0),
+        diamond_graph(
+            2, ("WND", 1), ("RM2", 64), ("WND", 16), ("RM2", 2), 300.0, release_ms=40.0
+        ),
+    ]
+    _, coordinator = realize_graphs(graphs, first_query_id=0)
+    cluster = two_model_cluster(profiles)
+    policy = CriticalPathKairosPolicy(
+        coordinator,
+        use_perfect_estimator=perfect,
+        estimators=estimators,
+        min_scale=MIN_SCALE,
+        urgency_frac=URGENCY,
+    )
+    policy.bind(cluster.active_view())
+    return cluster, policy, coordinator
+
+
+def reference_slack(runtime, predict, now_ms):
+    """Slack from scratch: deadline minus the longest chain off the served frontier."""
+    graph = runtime.graph
+    cpr = graph.critical_path_remaining(predict)
+    remaining = 0.0
+    for stage in graph.stages:
+        if stage.name not in runtime.served and all(
+            p in runtime.served for p in stage.parents
+        ):
+            remaining = max(remaining, cpr[stage.name])
+    return graph.deadline_abs_ms() - now_ms - remaining
+
+
+def reference_scale(runtime, name, predict, now_ms):
+    if runtime.outcome is not None and runtime.outcome != GRAPH_SERVED:
+        return 1.0
+    graph = runtime.graph
+    laxity = graph.deadline_abs_ms() - now_ms - graph.critical_path_remaining(predict)[name]
+    window = URGENCY * graph.deadline_ms
+    return min(1.0, max(MIN_SCALE, MIN_SCALE + (1.0 - MIN_SCALE) * (laxity / window)))
+
+
+def assert_matches_reference(coordinator, predict, now_ms):
+    """Every cached belief the coordinator serves equals its from-scratch value."""
+    for runtime in coordinator.runtimes:
+        first_access = runtime.critical_path_initial is None
+        for name, query in runtime.queries.items():
+            assert coordinator.priority_scale(
+                query.query_id, now_ms, MIN_SCALE, urgency_frac=URGENCY
+            ) == reference_scale(runtime, name, predict, now_ms)
+        if first_access and runtime.outcome in (None, GRAPH_SERVED):
+            assert runtime.critical_path_initial == runtime.graph.critical_path_ms(predict)
+        if runtime.outcome is None:
+            assert runtime.slack_at(now_ms, *coordinator._belief()) == reference_slack(
+                runtime, predict, now_ms
+            )
+    assert coordinator.doomed(now_ms) == [
+        r
+        for r in coordinator.runtimes
+        if r.outcome is None and reference_slack(r, predict, now_ms) < 0
+    ]
+
+
+def open_stages(coordinator):
+    """Released, not-yet-served stages of live graphs, in a deterministic order."""
+    return [
+        (runtime, name)
+        for runtime in coordinator.runtimes
+        if runtime.outcome is None
+        for name in sorted(runtime.pending_released())
+    ]
+
+
+#: One step of a coordinator history: complete an open stage, feed an estimator an
+#: observation, shed a live graph, or let time pass.
+belief_ops = st.one_of(
+    st.tuples(st.just("complete"), st.integers(0, 20)),
+    st.tuples(
+        st.just("observe"),
+        st.sampled_from(("RM2", "WND")),
+        st.sampled_from(("g4dn.xlarge", "c5n.2xlarge", "r5n.large")),
+        st.integers(1, 96),
+        st.floats(1.0, 400.0),
+    ),
+    st.tuples(st.just("shed"), st.integers(0, 2)),
+    st.tuples(st.just("advance"), st.floats(0.0, 150.0)),
+)
+
+
+def replay_ops(coordinator, policy, ops):
+    """Apply ``ops`` and check every cached belief after each one."""
+    predict = policy._predict_stage_ms
+    now = 0.0
+    assert_matches_reference(coordinator, predict, now)
+    for op in ops:
+        if op[0] == "complete":
+            stages = open_stages(coordinator)
+            if stages:
+                runtime, name = stages[op[1] % len(stages)]
+                query = runtime.queries[name]
+                start = max(now, query.arrival_time_ms)
+                now = start + 1.0
+                released = coordinator.complete_stage(
+                    record_for(query, start, now), now
+                )
+                if released:
+                    assert runtime.slack_ms == reference_slack(runtime, predict, now)
+        elif op[0] == "observe":
+            _, model, type_name, batch, latency = op
+            policy.estimator_of(model).observe(type_name, batch, latency)
+        elif op[0] == "shed":
+            coordinator.mark_graph_shed(coordinator.runtimes[op[1]], now)
+        else:
+            now += op[1]
+        assert_matches_reference(coordinator, predict, now)
+
+
+class TestBeliefCacheExactness:
+    @pytest.mark.parametrize("perfect", [True, False])
+    def test_scripted_history_matches_reference(self, profiles, perfect):
+        _, policy, coordinator = belief_setup(profiles, perfect=perfect)
+        ops = [
+            ("advance", 10.0),
+            ("complete", 0),
+            ("observe", "RM2", "c5n.2xlarge", 8, 30.0),
+            ("complete", 1),
+            ("observe", "WND", "g4dn.xlarge", 4, 3.0),
+            ("observe", "WND", "g4dn.xlarge", 32, 9.0),
+            ("advance", 120.0),
+            ("complete", 0),
+            ("complete", 2),
+            ("shed", 2),
+            ("observe", "RM2", "r5n.large", 16, 70.0),
+            ("complete", 0),
+            ("advance", 400.0),
+        ]
+        replay_ops(coordinator, policy, ops)
+
+    def test_direct_observe_invalidates(self, profiles):
+        _, policy, coordinator = belief_setup(profiles)
+        runtime = coordinator.runtimes[0]
+        qid = runtime.queries["src"].query_id
+        before = coordinator.priority_scale(qid, 0.0, MIN_SCALE)
+        # the cold-start prior is 1 ms everywhere: one slow observation on every
+        # type of the source's model lengthens the whole critical path
+        for type_name in ("g4dn.xlarge", "c5n.2xlarge", "r5n.large"):
+            policy.estimator_of("RM2").observe(type_name, 8, 250.0)
+        after = coordinator.priority_scale(qid, 0.0, MIN_SCALE)
+        assert after < before
+        assert after == reference_scale(runtime, "src", policy._predict_stage_ms, 0.0)
+
+    def test_rebinding_a_predictor_starts_a_fresh_belief(self):
+        graph = chain_graph(0, [("RM2", 8)] * 3, deadline_ms=120.0)
+        _, coordinator = realize_graphs([graph], first_query_id=0)
+        runtime = coordinator.runtimes[0]
+        qid = runtime.queries["s0"].query_id
+        # both predictors claim the same (constant) version: only the rebind
+        # itself tells the coordinator its memoized beliefs are stale
+        coordinator.bind_predictor(lambda model, batch: 50.0, lambda: 0)
+        assert coordinator.doomed(0.0) == [runtime]  # 150 > 120
+        assert coordinator.priority_scale(qid, 0.0, MIN_SCALE) == MIN_SCALE
+        coordinator.bind_predictor(lambda model, batch: 30.0, lambda: 0)
+        assert coordinator.doomed(0.0) == []  # 90 < 120
+        assert runtime.slack_at(0.0, *coordinator._belief()) == 120.0 - 90.0
+        assert coordinator.priority_scale(qid, 0.0, MIN_SCALE) == pytest.approx(
+            MIN_SCALE + (1.0 - MIN_SCALE) * 30.0 / 120.0
+        )
+
+    def test_column_rebind_after_cluster_change(self, profiles):
+        cluster, policy, coordinator = belief_setup(profiles, perfect=True)
+        predict = policy._predict_stage_ms
+        assert_matches_reference(coordinator, predict, 0.0)
+        runtime = coordinator.runtimes[2]
+        before = runtime.slack_at(0.0, *coordinator._belief())
+        # c5n is RM2's fastest type: without it every RM2 stage predicts slower
+        for server in list(cluster.cluster_of("RM2").active_servers()):
+            if server.instance_type.name == "c5n.2xlarge":
+                cluster.remove_server(server.server_id)
+        policy.bind(cluster.active_view())
+        assert_matches_reference(coordinator, predict, 0.0)
+        assert runtime.slack_at(0.0, *coordinator._belief()) < before
+
+    @given(ops=st.lists(belief_ops, max_size=30), perfect=st.booleans())
+    def test_random_histories_match_reference(self, profiles, ops, perfect):
+        _, policy, coordinator = belief_setup(profiles, perfect=perfect)
+        replay_ops(coordinator, policy, ops)
+
+    def test_noisy_estimators_bypass_the_cache(self, profiles):
+        """A noisy belief is re-predicted on every query, in the from-scratch order:
+        the same predictor calls, the same draws, the same values."""
+        log = []
+
+        class LoggingNoisy(NoisyLatencyEstimator):
+            def predict_ms(self, instance_type, batch_size):
+                log.append((self.tag, instance_type, batch_size))
+                return super().predict_ms(instance_type, batch_size)
+
+        def twin():
+            estimators = {}
+            for i, model in enumerate(("RM2", "WND")):
+                estimators[model] = LoggingNoisy(
+                    PerfectLatencyEstimator(profiles, model), 0.05, rng=7 + i
+                )
+                estimators[model].tag = model
+            _, policy, coordinator = belief_setup(profiles, estimators=estimators)
+            return policy, coordinator, estimators
+
+        policy, coordinator, estimators = twin()
+        ref_policy, ref, ref_estimators = twin()
+        predict = ref_policy._predict_stage_ms
+        ref._predict = None  # the reference predicts only where the test says
+
+        def cached_round(now):
+            doomed = coordinator.doomed(now)
+            scales = [
+                coordinator.priority_scale(q.query_id, now, MIN_SCALE, urgency_frac=URGENCY)
+                for runtime in coordinator.runtimes
+                for q in runtime.queries.values()
+            ]
+            return [coordinator.runtimes.index(r) for r in doomed], scales
+
+        def reference_round(now):
+            # per live graph: the first access's initial critical path, then the
+            # remaining path for its slack; then one laxity per stage row
+            doomed = []
+            for i, runtime in enumerate(ref.runtimes):
+                if runtime.outcome is None:
+                    if runtime.critical_path_initial is None:
+                        runtime.critical_path_initial = runtime.graph.critical_path_ms(
+                            predict
+                        )
+                    if reference_slack(runtime, predict, now) < 0:
+                        doomed.append(i)
+            scales = [
+                reference_scale(runtime, name, predict, now)
+                for runtime in ref.runtimes
+                for name in runtime.queries
+            ]
+            return doomed, scales
+
+        for now, stage in ((0.0, "src"), (30.0, "b0"), (60.0, "b1"), (90.0, None)):
+            log.clear()
+            cached = cached_round(now)
+            cached_log = list(log)
+            log.clear()
+            assert reference_round(now) == cached
+            assert log == cached_log and log
+            if stage is None:
+                break
+            log.clear()
+            runtime = coordinator.runtimes[0]
+            released = coordinator.complete_stage(
+                record_for(runtime.queries[stage], now, now + 1.0), now + 1.0
+            )
+            cached_log = list(log)
+            log.clear()
+            ref_runtime = ref.runtimes[0]
+            ref.complete_stage(
+                record_for(ref_runtime.queries[stage], now, now + 1.0), now + 1.0
+            )
+            if released:  # the release refreshes the graph's slack once
+                assert runtime.slack_ms == reference_slack(ref_runtime, predict, now + 1.0)
+            assert log == cached_log
+        for model in ("RM2", "WND"):
+            assert (
+                estimators[model]._rng.bit_generator.state
+                == ref_estimators[model]._rng.bit_generator.state
+            )

@@ -7,7 +7,8 @@ where the RNG draw sequence is part of the contract.  The multi-model subsystem 
 a co-located elastic scenario with the same guarantee per model, and the spot-market
 subsystem a preemption scenario (hazard draws, a forced burst, re-queues, and
 reactive re-provisioning) with the same byte-identity guarantee for metrics, scale
-logs, and per-market billing.
+logs, and per-market billing.  The pipeline subsystem pins a burst-shaped and a
+fig20-shaped task-graph run, records and per-graph outcomes.
 """
 
 import os
@@ -470,3 +471,148 @@ class TestNearCapacityByteIdentity:
         )
         assert _digest_of(parts) == _MASKED_ROUND_DIGESTS["multi_model"]
         assert policy.masked_rounds >= 0.5 * policy.single_rounds > 0
+
+
+# ---------------------------------------------------------------------------------------
+# Pipeline runs: critical-path beliefs memoized per belief version
+# ---------------------------------------------------------------------------------------
+#
+# Captured with ``_digest_of`` on the commit before the pipeline coordinator memoized
+# stage predictions and critical paths per belief version.  Each run must examine
+# live graphs for doom on many rounds (counted from the coordinator's runtimes,
+# outside the cache), so the pins cannot pass with the slack checks idle.
+_PIPELINE_DIGESTS = {
+    "burst": "db5f24235a813611",
+    "fig20_online": "3c86b05f3dee9804",
+}
+
+
+@pytest.fixture
+def live_doom_checks(monkeypatch):
+    """Live graphs examined per ``PipelineCoordinator.doomed`` call, in call order."""
+    from repro.pipeline.runtime import PipelineCoordinator
+
+    checks = []
+    doomed = PipelineCoordinator.doomed
+
+    def counting(self, now_ms, **kwargs):
+        checks.append(sum(1 for r in self.runtimes if r.outcome is None))
+        return doomed(self, now_ms, **kwargs)
+
+    monkeypatch.setattr(PipelineCoordinator, "doomed", counting)
+    return checks
+
+
+def _pipeline_digest(report, graph_outcomes):
+    parts = []
+    for name in report.metrics.model_names:
+        parts.extend(_record_tuple(r) for r in report.metrics.of_model(name).records)
+    parts.extend(graph_outcomes)
+    return _digest_of(parts)
+
+
+def _burst_shaped_run():
+    """The ``burst`` benchmark's shape, scaled down: three bursty models on their own
+    partitions, chain and diamond graphs across all three, perfect estimators."""
+    from repro.fuzz.runner import run_scenario
+    from repro.fuzz.spec import (
+        PhaseSpec,
+        PipelineSpec,
+        ScenarioSpec,
+        StageSpec,
+        StreamSpec,
+    )
+
+    models = ("RM2", "WND", "DIEN")
+    span_ms = 1500.0
+    rng = np.random.default_rng(SEED)
+    graphs = []
+    for i in range(16):
+        order = [str(m) for m in rng.permutation(models)]
+        batches = [int(b) for b in rng.integers(8, 96, size=4)]
+        if i % 2 == 0:
+            stages = tuple(
+                StageSpec(f"s{k}", order[k], batches[k], (f"s{k - 1}",) if k else ())
+                for k in range(3)
+            )
+        else:
+            stages = (
+                StageSpec("src", order[0], batches[0]),
+                StageSpec("left", order[1], batches[1], ("src",)),
+                StageSpec("right", order[2], batches[2], ("src",)),
+                StageSpec("sink", order[0], batches[3], ("left", "right")),
+            )
+        graphs.append(
+            PipelineSpec(
+                stages=stages,
+                deadline_ms=float(rng.uniform(300.0, 1500.0)),
+                release_ms=float(rng.uniform(0.0, span_ms)),
+            )
+        )
+    spec = ScenarioSpec(
+        loop="pipeline",
+        streams=tuple(
+            StreamSpec(
+                model_name=name,
+                phases=(PhaseSpec("step", 200.0, span_ms),),
+                arrival="bursty",
+                burst_size=16,
+            )
+            for name in models
+        ),
+        config_counts=((1, 1, 4, 0),) * len(models),
+        seed=SEED,
+        sharded_events=True,
+        pipelines=tuple(graphs),
+    )
+    result = run_scenario(spec, check=False)
+    return result.report, result.graph_outcomes
+
+
+def _fig20_shaped_run(profiles, catalog):
+    """fig20's graph-aware arm, scaled down: mixed-urgency graph waves over two
+    models' background streams, with online latency learning."""
+    from repro.analysis.pipeline import pipeline_fleet
+    from repro.pipeline import (
+        CriticalPathKairosPolicy,
+        PipelineServingSimulation,
+        realize_graphs,
+    )
+
+    names = ("RM2", "WND")
+    streams = {}
+    for i, (name, rate) in enumerate(zip(names, (45.0, 160.0))):
+        spec = WorkloadSpec(
+            batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
+            num_queries=150,
+            model_name=name,
+        )
+        streams[name] = WorkloadGenerator(spec).generate(rate_qps=rate, rng=SEED + 50 + i)
+    background = interleave_model_streams(streams)
+    span_ms = max(q.arrival_time_ms for q in background)
+    graphs = pipeline_fleet(12, names, 120.0, 1500.0, span_ms)
+    sources, coordinator = realize_graphs(graphs, len(background))
+    sim = PipelineServingSimulation(
+        MultiModelCluster(
+            {name: HeterogeneousConfig((1, 1, 2, 0), catalog) for name in names},
+            profiles,
+        ),
+        CriticalPathKairosPolicy(coordinator),
+        coordinator=coordinator,
+        rng=np.random.default_rng(SEED + 11),
+        warmup_queries=25,
+    )
+    report = sim.run(sorted(background + sources, key=lambda q: q.arrival_time_ms))
+    return report, sim.graph_outcomes
+
+
+class TestPipelineByteIdentity:
+    def test_burst_shaped_run(self, live_doom_checks):
+        report, outcomes = _burst_shaped_run()
+        assert _pipeline_digest(report, outcomes) == _PIPELINE_DIGESTS["burst"]
+        assert sum(live_doom_checks) >= 1000
+
+    def test_fig20_shaped_online_run(self, profiles, catalog, live_doom_checks):
+        report, outcomes = _fig20_shaped_run(profiles, catalog)
+        assert _pipeline_digest(report, outcomes) == _PIPELINE_DIGESTS["fig20_online"]
+        assert sum(live_doom_checks) >= 1000

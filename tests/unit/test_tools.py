@@ -40,6 +40,13 @@ EXPECTED_SEAMS = {
         "health scoring (completions)",
         "health check handler",
     ),
+    "pipeline": (
+        "policy schedule (joint round)",
+        "matrix build (joint assemble)",
+        "assignment solve (JV)",
+        "pipeline doom check",
+        "pipeline laxity (per row)",
+    ),
 }
 
 

@@ -17,8 +17,12 @@
 # and the `health-smoke` stage, a gray-failure campaign (permanent
 # degradations, flaky windows, zombie servers, health scoring, quarantine
 # breakers, hedged dispatch) plus the `gray`-marked tests and an explicit
-# replay of the committed gray scenarios.  A final clean-tree check repeats the
-# first one over the whole run, so a full CI pass leaves tracked files untouched.
+# replay of the committed gray scenarios; and the `perfbench-smoke` stage, a
+# tiny untraced and traced run of every workload of the repository benchmark
+# (perfbench/run.py --smoke), which fails on an invariant violation or a
+# simulated outcome that differs between runs.  A final clean-tree check repeats
+# the first one over the whole run, so a full CI pass leaves tracked files
+# untouched.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -74,6 +78,9 @@ echo "== health-smoke: gray-failure fuzzing + gray-marked tests + gray corpus re
 python tools/fuzz.py --budget 25 --seed 4 --gray
 python -m pytest tests -m gray -q --hypothesis-profile=ci "$@"
 python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
+
+echo "== perfbench-smoke: the repository benchmark's untraced and traced smoke run =="
+python3 perfbench/run.py --smoke > /dev/null
 
 echo "== clean-tree: the whole run must not modify tracked files =="
 check_clean_tree "the CI run"

@@ -11,6 +11,7 @@ ad-hoc profiling::
     python tools/profile_round.py                      # serving, quick preset
     python tools/profile_round.py --preset full
     python tools/profile_round.py --scenario multi_model --repeats 5
+    python tools/profile_round.py --scenario pipeline  # the benchmark's burst workload
 
 Phases overlap where the code nests (latency prediction runs inside the matrix build
 and the single-query fast path; both run inside "policy schedule"), so shares do not
@@ -59,6 +60,7 @@ def _instrument():
     import repro.sim.multi_model as multi_model
     import repro.sim.simulation as simulation
     from repro.core.latency_model import OnlineLatencyEstimator
+    from repro.pipeline.runtime import PipelineCoordinator
     from repro.solvers.jonker_volgenant import JonkerVolgenantSolver
 
     timers = []
@@ -92,6 +94,10 @@ def _instrument():
     seam("quarantine side effects", elasticity.ElasticServingSimulation, "_quarantine_server")
     seam("hedge delay estimate", health.HedgeManager, "hedge_delay_ms")
     seam("hedge timer handler", elasticity.ElasticServingSimulation, "_handle_hedge_timer")
+    # pipeline seams: the per-round doom check over live graphs and the per-row
+    # laxity multiplier, both read through the coordinator's belief cache
+    seam("pipeline doom check", PipelineCoordinator, "doomed")
+    seam("pipeline laxity (per row)", PipelineCoordinator, "priority_scale")
     return timers
 
 
@@ -221,6 +227,25 @@ def _run_gray(preset: str, repeats: int) -> tuple:
     return time.perf_counter() - start, rounds
 
 
+def _run_pipeline(preset: str, repeats: int) -> tuple:
+    """The repository benchmark's ``burst`` workload (``perfbench/workloads.py``):
+    three bursty models plus chain/diamond task graphs across all three."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    import workloads
+    from repro.bench.suites import SEED
+    from repro.fuzz.runner import build_queries, run_scenario
+
+    sim_s = {"smoke": 0.5, "quick": 2.0, "full": workloads.SIM_SECONDS["burst"]}[preset]
+    spec = workloads.build("burst", SEED, sim_s)
+    queries = build_queries(spec)
+
+    rounds = 0
+    start = time.perf_counter()
+    for _ in range(repeats):
+        rounds += run_scenario(spec, queries, check=False).report.scheduling_rounds
+    return time.perf_counter() - start, rounds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -228,7 +253,9 @@ def main(argv=None) -> int:
         help="workload scale (matches the perf-benchmark presets; default quick)",
     )
     parser.add_argument(
-        "--scenario", default="serving", choices=("serving", "multi_model", "gray"),
+        "--scenario",
+        default="serving",
+        choices=("serving", "multi_model", "gray", "pipeline"),
         help="which macro scenario to profile (default serving)",
     )
     parser.add_argument(
@@ -241,6 +268,7 @@ def main(argv=None) -> int:
         "serving": _run_serving,
         "multi_model": _run_multi_model,
         "gray": _run_gray,
+        "pipeline": _run_pipeline,
     }[args.scenario]
     wall, rounds = runner(args.preset, args.repeats)
 
