@@ -310,7 +310,7 @@ class RoundColumnState:
         "_overhead",
         "_offsets_buf",
         "_server_ids",
-        "_codes",
+        "codes",
         "_code_list",
         "_keys_by_code",
         "_full_columns",
@@ -346,15 +346,15 @@ class RoundColumnState:
         code_of: Dict[object, int] = {}
         codes = [code_of.setdefault(key, len(code_of)) for key in self._keys]
         self._code_list = codes
-        self._codes = np.asarray(codes, dtype=np.int64)
+        #: Per server of the full layout, the position of its block in ``groups``
+        #: (codes number the keys in first-occurrence order).
+        self.codes = np.asarray(codes, dtype=np.intp)
         self._keys_by_code = list(code_of)
-        # Codes number the keys in first-occurrence order, so code ``g`` is also the
-        # position of its block in the full layout's ``groups``.
         self._full_columns = RoundColumns(
             indices=list(range(n)),
             server_ids=tuple(self._server_ids),
             offsets=self._offsets_buf,
-            groups=self._groups_of(self._codes),
+            groups=self._groups_of(self.codes),
         )
         self._contiguous = all(
             isinstance(cols, slice) for _, cols in self._full_columns.groups
@@ -453,7 +453,7 @@ class RoundColumnState:
             indices=index_list,
             server_ids=tuple(ids[i] for i in index_list),
             offsets=full.offsets[idx],
-            groups=self._groups_of(self._codes[idx]),
+            groups=self._groups_of(self.codes[idx]),
         )
 
     def _groups_of(self, codes: np.ndarray) -> List[Tuple[object, ColumnIndex]]:

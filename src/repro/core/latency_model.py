@@ -20,9 +20,8 @@ Three estimators are provided:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +32,14 @@ from repro.utils.validation import check_non_negative, check_positive
 
 
 class LatencyEstimator:
-    """Interface: predict and learn per-(instance type, batch size) query latency."""
+    """Interface: predict and learn per-(instance type, batch size) query latency.
+
+    A *versioned* estimator (``belief_version`` not ``None``) promises that its
+    scalar and vector predictions agree bit for bit: ``predict_ms(t, b)`` equals
+    ``predict_many_ms(t, [b])[0]`` under any observation history.  Single-query
+    scheduling rounds rely on it to ask such estimators for one float per type
+    instead of a 1-element array.
+    """
 
     #: Version of the estimator's beliefs for callers that memoize predictions:
     #: while it holds one value, every prediction is a pure function of the inputs.
@@ -113,9 +119,6 @@ class OnlineLatencyEstimator(LatencyEstimator):
         # rounds often repeat the vector verbatim; entries are dropped for a type the
         # moment it learns something new (observe), so cached vectors can never go stale.
         self._prediction_cache: Dict[str, Dict[bytes, np.ndarray]] = {}
-        # Same idea for the dominant single-query rounds: 1-element prediction vectors
-        # keyed by (type, batch value), invalidated exactly like the vector cache.
-        self._scalar_cache: Dict[str, Dict[int, np.ndarray]] = {}
         self.belief_version = 0
 
     # -- learning ---------------------------------------------------------------------
@@ -125,7 +128,6 @@ class OnlineLatencyEstimator(LatencyEstimator):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self._prediction_cache.pop(instance_type, None)
-        self._scalar_cache.pop(instance_type, None)
         self.belief_version += 1  # invalidates callers' memoized predictions too
         state = self._state.setdefault(instance_type, _TypeState(table={}))
         mean, count = state.table.get(int(batch_size), (0.0, 0))
@@ -168,24 +170,6 @@ class OnlineLatencyEstimator(LatencyEstimator):
         :meth:`observe` on the type.  The returned array is shared with the cache and
         marked read-only; copy it before mutating.
         """
-        if (
-            type(batch_sizes) is np.ndarray
-            and batch_sizes.ndim == 1
-            and batch_sizes.size == 1
-        ):
-            # Single-query rounds dominate steady-state serving: memoize the
-            # 1-element vector per (type, batch) without the bytes-key machinery.
-            scalar_cache = self._scalar_cache.get(instance_type)
-            if scalar_cache is None:
-                scalar_cache = self._scalar_cache[instance_type] = {}
-            batch = int(batch_sizes[0])
-            cached = scalar_cache.get(batch)
-            if cached is None:
-                cached = np.empty(1)
-                cached[0] = self.predict_ms(instance_type, batch)
-                cached.setflags(write=False)  # cache-shared, like the vector path
-                scalar_cache[batch] = cached
-            return cached
         batches = np.atleast_1d(np.asarray(batch_sizes, dtype=int))
         cache = self._prediction_cache.setdefault(instance_type, {})
         key = batches.tobytes()

@@ -69,6 +69,168 @@ def _round_rows(pending, cap: Optional[int]):
     return queries, batches, arrivals
 
 
+def _is_hopeless(
+    estimator: LatencyEstimator, qos_budget_ms: float, query: Query, type_names, now_ms
+) -> bool:
+    """True when no instance type could meet the query's deadline even if idle now.
+
+    ``qos_budget_ms`` is ``qos_headroom * qos_ms`` of the query's model and
+    ``type_names`` the deduped, deterministically ordered types that serve it.
+    """
+    budget = qos_budget_ms - query.waiting_time_ms(now_ms)
+    if budget <= 0:
+        return True
+    for type_name in type_names:
+        if estimator.predict_ms(type_name, query.batch_size) <= budget:
+            return False
+    return True
+
+
+class _SingleQueryPlan:
+    """Constants and scratch of single-query rounds for one (layout, model) pair.
+
+    Built once per bind and coefficient refresh — group validation, the per-column
+    weights and the Eq. 8 penalty already multiplied by them — so a round allocates
+    nothing.  ``model_name`` ``None`` is the single-model layout, keyed by type name;
+    otherwise the layout is keyed by ``(model, type)`` and other models' blocks are
+    cross-model: never predicted, never feasible.
+    """
+
+    def __init__(
+        self, columns, coefficients_by_model, model_name, qos_ms, headroom, penalty_factor
+    ):
+        n = columns.offsets.shape[0]
+        weights = np.empty(n)
+        same_model = np.ones(n, dtype=bool)
+        self.types: List[Optional[str]] = []
+        for key, cols in columns.groups:
+            group_model, type_name = (None, key) if model_name is None else key
+            coefficients = coefficients_by_model.get(group_model)
+            if coefficients is None or type_name not in coefficients:
+                owner = "" if group_model is None else f"model {group_model!r} "
+                raise KeyError(
+                    f"no heterogeneity coefficient for {owner}type {type_name!r}"
+                )
+            if coefficients[type_name] <= 0:
+                raise ValueError("heterogeneity coefficients must be positive")
+            weights[cols] = coefficients[type_name]
+            self.types.append(type_name if group_model == model_name else None)
+            same_model[cols] = group_model == model_name
+        qos_ms = float(qos_ms)
+        self.hopeless_types = tuple(t for t in self.types if t is not None)
+        self.same_model = None if same_model.all() else same_model
+        self.weights = weights
+        # the matrix path's ``np.where(feasible, usage, penalty) * weights`` value
+        # of an infeasible column
+        self.penalty_weights = (float(penalty_factor) * qos_ms) * weights
+        self.qos_budget = float(headroom) * qos_ms
+        self.threshold = self.qos_budget + 1e-9
+        # zeros, not empty: blocks with no eligible server keep finite predictions,
+        # so the masked columns' arithmetic never sees uninitialised memory
+        self.by_group = np.zeros(len(self.types))
+        self.usage = np.empty(n)
+        self.scored = np.empty(n)
+        self.infeasible = np.empty(n, dtype=bool)
+
+
+class _SingleQueryScorer:
+    """One-pending-query rounds of both Kairos policies, without matrix or solver.
+
+    A single-query matching is an argmin over one weighted row (identical to the JV
+    single-row fast path).  The scorer reproduces that row over the bind's full
+    column layout with the matrix path's per-element operations — ``offset +
+    prediction``, the Eq. 3 fold against ``qos_headroom * qos + 1e-9``, the Eq. 8
+    penalty and the Eq. 2 weighting — sets ineligible columns to ``+inf``, and takes
+    the same first-minimum ``argmin``, so the decision is byte-identical to the
+    round over the eligible servers.
+
+    Predictions come one per eligible block, in
+    :meth:`~repro.core.cost_matrix.RoundColumnState.call_order`, and are spread over
+    the columns by one indexed read of the layout's group codes.  An estimator with
+    a ``belief_version`` answers through :meth:`LatencyEstimator.predict_ms`, whose
+    value equals its 1-element vector prediction by contract.  An unversioned one
+    (a stochastic estimator) keeps the matrix path's per-block ``predict_many_ms``
+    calls, so it draws exactly the same random numbers.  Blocks without an eligible
+    server, and other models' blocks, issue no estimator call.
+    """
+
+    def __init__(self, qos_headroom: float, penalty_factor: float, defer: bool):
+        self._qos_headroom = qos_headroom
+        self._penalty_factor = penalty_factor
+        self._defer = defer
+        # (columns, coefficients_by_model, {model: plan}): plans hold until a rebind
+        # installs new columns or a coefficient refresh a new mapping
+        self._source: Optional[Tuple] = None
+
+    def decide(
+        self,
+        query: Query,
+        model_name: Optional[str],
+        estimator: LatencyEstimator,
+        qos_ms: float,
+        coefficients_by_model: Mapping[Optional[str], Mapping[str, float]],
+        columns,
+        columns_state: RoundColumnState,
+        now_ms: float,
+    ) -> List[Decision]:
+        """The round's decision for ``query`` on the refreshed full layout ``columns``."""
+        source = self._source
+        if (
+            source is None
+            or source[0] is not columns
+            or source[1] is not coefficients_by_model
+        ):
+            source = self._source = (columns, coefficients_by_model, {})
+        plan = source[2].get(model_name)
+        if plan is None:
+            plan = source[2][model_name] = _SingleQueryPlan(
+                columns,
+                coefficients_by_model,
+                model_name,
+                qos_ms,
+                self._qos_headroom,
+                self._penalty_factor,
+            )
+
+        types = plan.types
+        by_group = plan.by_group
+        if getattr(estimator, "belief_version", None) is None:
+            batches = np.array([query.batch_size])
+            predict_many = estimator.predict_many_ms
+            for g in columns_state.call_order():
+                if types[g] is not None:
+                    by_group[g] = predict_many(types[g], batches)[0]
+        else:
+            predict = estimator.predict_ms
+            batch = query.batch_size
+            for g in columns_state.call_order():
+                if types[g] is not None:
+                    by_group[g] = predict(types[g], batch)
+
+        usage, scored, infeasible = plan.usage, plan.scored, plan.infeasible
+        by_group.take(columns_state.codes, out=usage, mode="clip")
+        np.add(columns.offsets, usage, out=usage)
+        np.add(usage, max(0.0, now_ms - query.arrival_time_ms), out=scored)
+        np.less_equal(scored, plan.threshold, out=infeasible)  # feasible, for now
+        same_model = plan.same_model
+        if same_model is not None:
+            infeasible &= same_model
+        np.logical_not(infeasible, out=infeasible)
+        np.multiply(usage, plan.weights, out=scored)
+        np.copyto(scored, plan.penalty_weights, where=infeasible)
+        if columns_state.masked:
+            np.copyto(scored, np.inf, where=columns_state.ineligible)
+        col = int(scored.argmin())
+        if infeasible[col]:
+            if same_model is not None and not same_model[col]:
+                return []  # an instance of another model can never serve the query
+            if self._defer and not _is_hopeless(
+                estimator, plan.qos_budget, query, plan.hopeless_types, now_ms
+            ):
+                return []
+        return [(query, columns.indices[col])]
+
+
 class KairosPolicy(SchedulingPolicy):
     """The Kairos central controller's scheduling behaviour.
 
@@ -120,10 +282,14 @@ class KairosPolicy(SchedulingPolicy):
         self._refresh_interval = max(1, int(coefficient_refresh_interval))
         self._defer_violations = bool(defer_predicted_violations)
         self._distributor: Optional[QueryDistributor] = None
+        # the distributor's coefficients as the scorer's one-model mapping
+        self._coefficients_by_model: Dict[None, Mapping[str, float]] = {}
         self._rounds = 0
         self._columns: Optional[RoundColumnState] = None
         self._columns_source = None
-        self._single_scratch: Optional[Tuple[np.ndarray, ...]] = None
+        self._single = _SingleQueryScorer(
+            qos_headroom, penalty_factor, self._defer_violations
+        )
         # One solver for the policy's whole life: coefficient refreshes rebuild the
         # distributor, but the JV scratch buffers survive across rebuilds.
         self._solver = round_solver(solver_method)
@@ -202,21 +368,26 @@ class KairosPolicy(SchedulingPolicy):
         columns = columns_state.refresh(now_ms)
         if columns is None:
             return []
-        considered, batches, arrivals = _round_rows(
-            pending, self._distributor.max_queries_per_round
-        )
-        if len(considered) == 1:
-            # The dominant round shape at steady state: the matching degenerates to
-            # an argmin over one weighted row (identical to the JV single-row fast
-            # path), so the matrix/solver scaffolding is skipped entirely.
-            return self._schedule_single(
-                considered[0],
-                batches,
-                max(0.0, now_ms - arrivals[0]),
+        if len(pending) == 1:
+            # The dominant round shape at steady state: its query is read straight
+            # from the queue and scored without snapshot arrays, matrix or solver.
+            coefficients = self._distributor.coefficients
+            if self._coefficients_by_model.get(None) is not coefficients:
+                # new after a refresh, or after a subclass replaced the mapping
+                self._coefficients_by_model = {None: coefficients}
+            return self._single.decide(
+                pending[0],
+                None,
+                self._estimator,
+                self.qos_ms,
+                self._coefficients_by_model,
                 columns,
                 columns_state,
                 now_ms,
             )
+        considered, batches, arrivals = _round_rows(
+            pending, self._distributor.max_queries_per_round
+        )
         # A JV matrix with masked penalty columns would change duals and
         # tie-breaks, so multi-row rounds match over the gathered eligible view.
         columns = columns_state.eligible_view()
@@ -233,126 +404,19 @@ class KairosPolicy(SchedulingPolicy):
             if self._defer_violations and not assignment.predicted_feasible:
                 if round_types is None:
                     round_types = columns_state.unique_keys()
-                if not self._is_hopeless(assignment.query, round_types, now_ms):
+                if not _is_hopeless(
+                    self._estimator,
+                    self._qos_headroom * self.qos_ms,
+                    assignment.query,
+                    round_types,
+                    now_ms,
+                ):
                     # Keep the query in the central queue; a better slot may open up
                     # before its deadline, and Eq. 3's waiting-time term will
                     # prioritize it then.
                     continue
             decisions.append((assignment.query, eligible_indices[assignment.server_index]))
         return decisions
-
-    def _single_plan(self, columns, coefficients):
-        """Pre-sliced scratch views + pre-filled weights for single-query rounds.
-
-        Keyed on the bind's stable full-layout ``RoundColumns`` object and the
-        coefficients dict identity (``_rebuild_distributor`` installs a fresh dict,
-        so refreshed coefficients invalidate the plan).  Group validation and the
-        weights fill run once per key instead of every round; the per-round work
-        shrinks to one ``predict_many_ms`` + one ``np.add`` per eligible type block.
-        """
-        cached = self._single_scratch
-        if (
-            cached is not None
-            and cached[0] is columns
-            and cached[1] is coefficients
-        ):
-            return cached[2]
-        offsets = columns.offsets
-        n = offsets.shape[0]
-        # zeros, not empty: a skipped (all-ineligible) block keeps finite values,
-        # so the masked round's arithmetic never sees uninitialised memory
-        usage = np.zeros(n)
-        weights = np.empty(n)
-        tmp = np.empty(n)
-        feasible = np.empty(n, dtype=bool)
-        plan = []
-        for type_name, cols in columns.groups:
-            if type_name not in coefficients:
-                raise KeyError(
-                    f"no heterogeneity coefficient for instance type {type_name!r}"
-                )
-            coefficient = coefficients[type_name]
-            if coefficient <= 0:
-                raise ValueError("heterogeneity coefficients must be positive")
-            weights[cols] = coefficient
-            if isinstance(cols, slice):
-                # stable views: `offsets` is the column state's persistent buffer,
-                # refreshed in place each round, so slice views stay current
-                plan.append((type_name, offsets[cols], usage[cols], None))
-            else:
-                # non-contiguous blocks re-gather from the live buffer each round
-                plan.append((type_name, offsets, None, cols))
-        state = (plan, usage, weights, tmp, feasible)
-        self._single_scratch = (columns, coefficients, state)
-        return state
-
-    def _schedule_single(
-        self,
-        query: Query,
-        batches: np.ndarray,
-        wait,
-        columns,
-        columns_state: RoundColumnState,
-        now_ms: float,
-    ) -> List[Decision]:
-        """One-pending-query round without the matrix/solver scaffolding.
-
-        Scores the bind's full column layout through the cached plan and performs
-        the exact floating-point operations of the matrix path over the eligible
-        servers — per-group ``predict_many_ms`` calls in the same order (a
-        stochastic estimator's RNG stream is part of the seed contract), the
-        Eq. 3/Eq. 8 fold, the Eq. 2 weighting.  Blocks without an eligible server
-        issue no estimator call, and ineligible columns are set to ``+inf`` before
-        the same first-minimum ``argmin`` the JV solver applies to single-row
-        matchings, so the decision is byte-identical to the one over the filtered
-        eligible view.
-        """
-        distributor = self._distributor
-        estimator = distributor.estimator
-        plan, usage, weights, tmp, feasible = self._single_plan(
-            columns, distributor.coefficients
-        )
-        masked = columns_state.masked
-        if masked:
-            plan = [plan[g] for g in columns_state.call_order()]
-        predict = estimator.predict_many_ms
-        for type_name, off_view, usage_view, cols in plan:
-            predicted = predict(type_name, batches)
-            if usage_view is not None:
-                np.add(off_view, predicted[0], out=usage_view)
-            else:
-                usage[cols] = off_view[cols] + predicted[0]
-        np.add(usage, wait, out=tmp)
-        np.less_equal(
-            tmp, distributor.qos_headroom * distributor.qos_ms + 1e-9, out=feasible
-        )
-        penalized = np.where(
-            feasible, usage, distributor.penalty_factor * distributor.qos_ms
-        )
-        np.multiply(penalized, weights, out=penalized)
-        if masked:
-            np.copyto(penalized, np.inf, where=columns_state.ineligible)
-        col = int(penalized.argmin())
-        if self._defer_violations and not feasible[col]:
-            if not self._is_hopeless(query, columns_state.unique_keys(), now_ms):
-                return []
-        return [(query, columns.indices[col])]
-
-    def _is_hopeless(self, query: Query, type_names, now_ms: float) -> bool:
-        """True when no instance type could meet the query's deadline even if idle now.
-
-        ``type_names`` is the deduped, deterministically ordered sequence of
-        instance-type names present in the round's cluster (computed once per
-        scheduling round by :meth:`schedule`).
-        """
-        assert self._estimator is not None
-        budget = self._qos_headroom * self.qos_ms - query.waiting_time_ms(now_ms)
-        if budget <= 0:
-            return True
-        for type_name in type_names:
-            if self._estimator.predict_ms(type_name, query.batch_size) <= budget:
-                return False
-        return True
 
     def observe_completion(self, record: QueryRecord) -> None:
         if self._estimator is not None:
@@ -445,8 +509,9 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         self._columns_source = None
         self._server_models_full: Tuple[str, ...] = ()
         self._round_types_of: Dict[str, Tuple[str, ...]] = {}
-        self._model_masks: Dict[str, np.ndarray] = {}
-        self._single_scratch: Optional[Tuple[np.ndarray, ...]] = None
+        self._single = _SingleQueryScorer(
+            qos_headroom, penalty_factor, self._defer_violations
+        )
         self._shard_plans: Optional[Tuple] = None
 
     # -- lifecycle -----------------------------------------------------------------------
@@ -500,12 +565,6 @@ class MultiModelKairosPolicy(SchedulingPolicy):
             )
             for model_name in dict.fromkeys(server_models)
         }
-        self._model_masks = {
-            model_name: np.asarray(
-                [m == model_name for m in server_models], dtype=bool
-            )
-            for model_name in dict.fromkeys(server_models)
-        }
 
     def _rebuild_coefficients(self) -> None:
         cluster = self._require_bound()
@@ -551,16 +610,28 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         if columns is None:
             return []
 
-        considered, batches, arrivals = _round_rows(pending, self._max_queries_per_round)
-        if len(considered) == 1:
-            return self._schedule_single(
-                considered[0],
-                batches,
-                max(0.0, now_ms - arrivals[0]),
+        if len(pending) == 1:
+            # the joint single row: other models' columns keep the row's Eq. 8
+            # penalty and are never committed (see _SingleQueryScorer)
+            query = pending[0]
+            model_name = resolve_query_models((query,), self._qos_by_model)[0]
+            if model_name not in self._round_types_of:
+                # every instance of this model is gone (crashed or drained): nothing
+                # can serve the query this round — defer until replacement capacity
+                # arrives (the multi-query path reaches the same outcome via its
+                # cross-model guard)
+                return []
+            return self._single.decide(
+                query,
+                model_name,
+                self._estimators[model_name],
+                self._qos_by_model[model_name],
+                self._coefficients,
                 columns,
                 columns_state,
                 now_ms,
             )
+        considered, batches, arrivals = _round_rows(pending, self._max_queries_per_round)
         # multi-row rounds match over the gathered eligible view (see KairosPolicy)
         columns = columns_state.eligible_view()
         eligible_indices = columns.indices
@@ -614,8 +685,12 @@ class MultiModelKairosPolicy(SchedulingPolicy):
             query = considered[row]
             model_name = matrix.query_models[row]
             if self._defer_violations and not matrix.qos_feasible[row, col]:
-                if not self._is_hopeless(
-                    query, model_name, self._round_types_of[model_name], now_ms
+                if not _is_hopeless(
+                    self._estimators[model_name],
+                    self._qos_headroom * self._qos_by_model[model_name],
+                    query,
+                    self._round_types_of[model_name],
+                    now_ms,
                 ):
                     continue
             decisions.append((query, eligible_indices[col]))
@@ -717,117 +792,6 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         self._shard_plans = (columns, shards)
         return shards
 
-    def _single_plan(self, columns, model_name: str):
-        """Per-(columns, coefficients, model) plan for single-query joint rounds.
-
-        Mirrors :meth:`KairosPolicy._single_plan`: group validation and the weights
-        fill run once per coefficient refresh.  The plan has one entry per block of
-        the full layout (indexed like ``columns.groups``); cross-model entries are
-        ``None`` because those blocks never leave the row penalty.
-        """
-        cached = self._single_scratch
-        coefficients_root = self._coefficients
-        if (
-            cached is None
-            or cached[0] is not columns
-            or cached[1] is not coefficients_root
-        ):
-            cached = (columns, coefficients_root, {})
-            self._single_scratch = cached
-        plans = cached[2]
-        state = plans.get(model_name)
-        if state is not None:
-            return state
-        offsets = columns.offsets
-        n = offsets.shape[0]
-        usage = np.empty(n)
-        weights = np.empty(n)
-        tmp = np.empty(n)
-        feasible = np.empty(n, dtype=bool)
-        plan = []
-        for (group_model, type_name), cols in columns.groups:
-            coefficients = coefficients_root.get(group_model)
-            if coefficients is None or type_name not in coefficients:
-                raise KeyError(
-                    f"no heterogeneity coefficient for model {group_model!r} "
-                    f"type {type_name!r}"
-                )
-            coefficient = coefficients[type_name]
-            if coefficient <= 0:
-                raise ValueError("heterogeneity coefficients must be positive")
-            weights[cols] = coefficient
-            if group_model != model_name:
-                # cross-model block: stays at the row penalty, no estimator call
-                plan.append(None)
-            elif isinstance(cols, slice):
-                plan.append((type_name, offsets[cols], usage[cols], None))
-            else:
-                plan.append((type_name, offsets, None, cols))
-        state = (plan, usage, weights, tmp, feasible, self._model_masks[model_name])
-        plans[model_name] = state
-        return state
-
-    def _schedule_single(
-        self,
-        query: Query,
-        batches: np.ndarray,
-        wait,
-        columns,
-        columns_state: RoundColumnState,
-        now_ms: float,
-    ) -> List[Decision]:
-        """One-pending-query joint round (see :meth:`KairosPolicy._schedule_single`).
-
-        Reproduces the joint matrix's single row over the eligible servers exactly,
-        scored on the full layout: every (model, type) block contributes its weight
-        (and its coefficient validation), but only the query's own model's blocks
-        that hold an eligible server issue estimator calls — cross-model columns
-        keep the row's Eq. 8 penalty and are never committed.  Ineligible columns
-        are set to ``+inf`` before the first-minimum ``argmin``.
-        """
-        model_name = resolve_query_models((query,), self._qos_by_model)[0]
-        if model_name not in self._model_masks:
-            # every instance of this model is gone (crashed or drained): nothing can
-            # serve the query this round — defer until replacement capacity arrives
-            # (the multi-query path reaches the same outcome via its cross-model guard)
-            return []
-        qos = self._qos_by_model[model_name]
-        penalty = self._penalty_factor * qos
-        plan, usage, weights, tmp, feasible, same_model = self._single_plan(
-            columns, model_name
-        )
-        usage.fill(penalty)
-        masked = columns_state.masked
-        if masked:
-            plan = [plan[g] for g in columns_state.call_order()]
-        predict = self._estimators[model_name].predict_many_ms
-        for entry in plan:
-            if entry is None:
-                continue  # cross-model block
-            type_name, off_view, usage_view, cols = entry
-            predicted = predict(type_name, batches)
-            if usage_view is not None:
-                np.add(off_view, predicted[0], out=usage_view)
-            else:
-                usage[cols] = off_view[cols] + predicted[0]
-        np.add(usage, wait, out=tmp)
-        np.less_equal(tmp, self._qos_headroom * qos + 1e-9, out=feasible)
-        feasible &= same_model
-        penalized = np.where(feasible, usage, penalty)
-        np.multiply(penalized, weights, out=penalized)
-        if masked:
-            np.copyto(penalized, np.inf, where=columns_state.ineligible)
-        col = int(penalized.argmin())
-        if not same_model[col]:
-            # an instance of another model can never serve this query: always defer
-            return []
-        if self._defer_violations and not feasible[col]:
-            if not self._is_hopeless(
-                query, model_name, self._round_types_of[model_name], now_ms
-            ):
-                return []
-        return [(query, columns.indices[col])]
-
     def _row_cost_scale(
         self, considered: Sequence[Query], now_ms: float
     ) -> Optional[np.ndarray]:
@@ -841,22 +805,6 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         only how the matching arbitrates between rows.
         """
         return None
-
-    def _is_hopeless(
-        self, query: Query, model_name: str, type_names, now_ms: float
-    ) -> bool:
-        """True when no instance of the query's model could meet its deadline even idle."""
-        estimator = self._estimators[model_name]
-        budget = (
-            self._qos_headroom * self._qos_by_model[model_name]
-            - query.waiting_time_ms(now_ms)
-        )
-        if budget <= 0:
-            return True
-        for type_name in type_names:
-            if estimator.predict_ms(type_name, query.batch_size) <= budget:
-                return False
-        return True
 
     def observe_completion(self, record: QueryRecord) -> None:
         name = record.query.model_name

@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.cloud.billing import SPAN_HEDGE, SPAN_QUARANTINE, InstanceUsageLedger
 from repro.core.controller import ElasticKairosController, ReplanDecision
 from repro.sim.cluster import Cluster, ClusterView
-from repro.sim.engine import EventQueue, SimulationClock
+from repro.sim.engine import EventQueue, SimulationClock, no_progress_error, step_budget
 from repro.sim.events import CrashStorm, Event, EventKind, ScaleRequest
 from repro.sim.faults import (
     AdmissionController,
@@ -415,16 +415,14 @@ class ElasticServingSimulation:
         peak = len(self.cluster)
         view = self.cluster.active_view()
         self.policy.bind(view, self.qos_ms)
-        # generous guard against a policy that never makes progress
-        max_steps = 20 * n + 1000
+        max_steps = step_budget(n, self.retry)
         steps = 0
 
         while events:
             steps += 1
             if steps > max_steps:
-                raise RuntimeError(
-                    f"simulation exceeded {max_steps} steps; the scheduling policy "
-                    f"{type(self.policy).__name__} appears to be making no progress"
+                raise no_progress_error(
+                    self.policy, max_steps, clock.now_ms, pending, events
                 )
             now = clock.advance_to(events.peek_time())
             membership_changed = False

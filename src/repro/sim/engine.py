@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event
@@ -19,6 +21,32 @@ from repro.sim.events import Event
 #: full test suite, and the pre-overhaul byte-identity digests are unchanged under
 #: the wider window.
 TIME_EPSILON_MS = 1e-9
+
+#: The serving loops' guard against a policy that never makes progress: a run may
+#: take this many event-loop steps per query and retry attempt, plus the slack,
+#: before it is declared stuck (see :func:`step_budget`).
+STEPS_PER_QUERY = 20
+STEP_BUDGET_SLACK = 1000
+
+
+def step_budget(num_queries: int, retry=None) -> int:
+    """Event-loop steps a run of ``num_queries`` may take before it is stuck; each
+    attempt of a :class:`~repro.sim.faults.RetryPolicy` may add a bounded number."""
+    attempts = retry.max_attempts if retry is not None else 1
+    return STEPS_PER_QUERY * num_queries * attempts + STEP_BUDGET_SLACK
+
+
+def no_progress_error(policy, max_steps: int, now_ms: float, pending, events):
+    """The loops' error past their step budget, naming the stuck state: simulated
+    time, the pending queries (count and first ids), the queued events by kind."""
+    first_ids = [query.query_id for query in islice(pending, 5)]
+    kinds = ", ".join(f"{k} x{c}" for k, c in sorted(events.kind_counts().items()))
+    return RuntimeError(
+        f"simulation exceeded {max_steps} steps; the scheduling policy "
+        f"{type(policy).__name__} appears to be making no progress at "
+        f"t={now_ms:.3f} ms with {len(pending)} queries pending (first ids "
+        f"{first_ids}) and queued events [{kinds or 'none'}]"
+    )
 
 
 class SimulationClock:
@@ -124,6 +152,10 @@ class EventQueue:
         while heap and heap[0][1].time_ms <= limit:
             batch.append(pop(heap)[1])
         return batch
+
+    def kind_counts(self) -> Counter:
+        """Queued events per kind name (for diagnostics)."""
+        return Counter(entry[1].kind.name for entry in self._heap)
 
     def only_kinds(self, kinds) -> bool:
         """True when the queue is non-empty and every queued event's kind is in ``kinds``.

@@ -35,6 +35,7 @@ regression corpus, is pinned in ``tests/regression/test_regression_scenarios.py`
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -221,6 +222,10 @@ class ShardedEventQueue:
         if batch:
             self.clock.advance_round(batch[-1].time_ms)
         return batch
+
+    def kind_counts(self) -> Counter:
+        """Queued events per kind name over every shard (for diagnostics)."""
+        return Counter(e[1].kind.name for heap in self._shards.values() for e in heap)
 
     def only_kinds(self, kinds) -> bool:
         """True when non-empty and every queued event's kind is in ``kinds``."""

@@ -28,7 +28,13 @@ from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.models import MLModel
 from repro.cloud.profiles import ProfileRegistry
 from repro.sim.cluster import Cluster
-from repro.sim.engine import TIME_EPSILON_MS, EventQueue, SimulationClock
+from repro.sim.engine import (
+    TIME_EPSILON_MS,
+    EventQueue,
+    SimulationClock,
+    no_progress_error,
+    step_budget,
+)
 from repro.sim.events import Event, EventKind
 from repro.sim.faults import (
     AdmissionController,
@@ -166,10 +172,7 @@ class ServingSimulation:
         self._timed_out_ids = set()
         # Queries in the warm-up window (earliest arrivals) are excluded from metrics.
         warmup_ids = {q.query_id for q in ordered[: self.warmup_queries]}
-        # generous guard against a policy that never makes progress (each retry
-        # attempt may add a bounded number of extra steps)
-        attempts_cap = self.retry.max_attempts if self.retry is not None else 1
-        max_steps = 20 * n * attempts_cap + 1000
+        max_steps = step_budget(n, self.retry)
         steps = 0
 
         # Hot-loop locals: the arrival-time column is read every iteration, and
@@ -179,9 +182,8 @@ class ServingSimulation:
         while outstanding > 0 and not early_stopped:
             steps += 1
             if steps > max_steps:
-                raise RuntimeError(
-                    f"simulation exceeded {max_steps} steps; the scheduling policy "
-                    f"{type(self.policy).__name__} appears to be making no progress"
+                raise no_progress_error(
+                    self.policy, max_steps, clock.now_ms, pending, events
                 )
 
             next_arrival = arrival_times[arrival_idx] if arrival_idx < n else None

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.config import HeterogeneousConfig
@@ -674,3 +674,280 @@ def test_masked_single_round_property(profiles, catalog, rounds):
         _check_single_round(
             policy, twin, cluster, depths, Query(k, batch, now_ms - wait), now_ms, rm2.qos_ms
         )
+
+
+# ---------------------------------------------------------------------------------------
+# The shared single-query scorer, per estimator class
+# ---------------------------------------------------------------------------------------
+
+
+class VersionedRecordingEstimator(RecordingEstimator):
+    """A :class:`RecordingEstimator` that keeps its inner estimator's belief version,
+    so the scorer treats it exactly like the estimator it wraps."""
+
+    @property
+    def belief_version(self):
+        return self.inner.belief_version
+
+
+def _scorer_estimator(kind, profiles, model, seed):
+    """The policy's recording estimator of class ``kind`` for one model."""
+    if kind == "noisy":
+        return _noisy(profiles, model, seed)
+    if kind == "perfect":
+        return VersionedRecordingEstimator(PerfectLatencyEstimator(profiles, model))
+    return VersionedRecordingEstimator(OnlineLatencyEstimator())
+
+
+def _reference_estimator(kind, estimator):
+    """The from-scratch reference's estimator, taken after the policy's bind.
+
+    A noisy estimator gets an independent twin at its RNG position (the bind's
+    coefficient probes drew from it).  A deterministic one is shared: the reference
+    reads the very beliefs the policy holds, through vector predictions.
+    """
+    return _twin(estimator) if kind == "noisy" else estimator.inner
+
+
+#: Batch sizes the online histories repeat, so queries hit the lookup table.
+_SEEN_BATCHES = (1, 7, 64, 400)
+
+
+def _learn(estimators, type_names_of, profiles, rng):
+    """Feed a random observation to a random online estimator, if any."""
+    online = [
+        (name, est)
+        for name, est in estimators.items()
+        if isinstance(getattr(est, "inner", est), OnlineLatencyEstimator)
+    ]
+    if not online or rng.random() < 0.4:
+        return
+    name, est = online[int(rng.integers(len(online)))]
+    types = type_names_of[name]
+    type_name = types[int(rng.integers(len(types)))]
+    batch = int(rng.choice(_SEEN_BATCHES))
+    true_ms = profiles.latency_ms(name, type_name, batch)
+    est.observe(type_name, batch, float(true_ms * rng.uniform(0.8, 1.2)))
+
+
+def _query_batch(rng):
+    return int(rng.choice(_SEEN_BATCHES)) if rng.random() < 0.4 else int(rng.integers(1, 1001))
+
+
+def _check_estimator_traffic(kind, policy_estimator, twin):
+    if kind == "noisy":
+        # same per-block vector calls, in the same order, and the same RNG position
+        assert policy_estimator.calls == twin.calls
+        assert _rng_state(policy_estimator) == _rng_state(twin)
+        twin.calls.clear()
+    else:
+        # versioned beliefs are read as scalars only
+        assert all(call[0] == "one" for call in policy_estimator.calls)
+    policy_estimator.calls.clear()
+
+
+class TestSharedScorerExactness:
+    """Both policies' single-query rounds go through one scorer; its decision must
+    equal the from-scratch round over the eligible servers for every estimator
+    class, on random queue depths and random online histories."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "non_contiguous"])
+    @pytest.mark.parametrize("kind", ["online", "perfect", "noisy"])
+    def test_single_model(self, profiles, rm2, catalog, kind, layout):
+        if layout == "contiguous":
+            cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        else:
+            cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        estimator = _scorer_estimator(kind, profiles, rm2, 7)
+        policy = KairosPolicy(estimator=estimator, coefficient_refresh_interval=10**9)
+        policy.bind(cluster, rm2.qos_ms)
+        estimator.calls.clear()
+        reference = _reference_estimator(kind, estimator)
+        types = {rm2.name: list(dict.fromkeys(cluster.type_names()))}
+        rng = np.random.default_rng(23)
+        now_ms = 1000.0
+        outcomes = Counter()
+        for round_idx in range(250):
+            _learn({rm2.name: estimator}, types, profiles, rng)
+            now_ms += float(rng.uniform(0.5, 15.0))
+            depths = rng.choice([0, 1, 2, 3], size=len(cluster), p=[0.3, 0.3, 0.3, 0.1])
+            _apply_depths(cluster.servers, depths, now_ms, rng)
+            query = Query(
+                round_idx,
+                _query_batch(rng),
+                now_ms - float(rng.uniform(0.0, 1.2 * rm2.qos_ms)),
+            )
+            got = [(q.query_id, j) for q, j in policy.schedule(now_ms, [query], cluster)]
+            want = reference_single_round(
+                query, cluster.servers, depths, reference, now_ms, rm2.qos_ms,
+                policy.coefficients,
+            )
+            assert got == want
+            _check_estimator_traffic(kind, estimator, reference)
+            outcomes[(bool((depths > 1).any()), bool(got))] += 1
+        # non-vacuous: masked rounds both dispatch and defer, unmasked rounds occur
+        assert outcomes[(True, True)] and outcomes[(True, False)]
+        assert outcomes[(False, True)] + outcomes[(False, False)]
+
+    def test_coefficients_replaced_by_a_subclass(self, profiles, rm2, catalog):
+        """The coefficient ablation swaps the distributor's mapping after each
+        rebuild; single-query rounds must score with the mapping it installed."""
+        from repro.analysis.ablations import _UnweightedKairosPolicy
+
+        cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        policy = _UnweightedKairosPolicy(
+            PerfectLatencyEstimator(profiles, rm2), coefficient_refresh_interval=7
+        )
+        policy.bind(cluster, rm2.qos_ms)
+        rng = np.random.default_rng(31)
+        now_ms = 1000.0
+        for round_idx in range(120):
+            now_ms += float(rng.uniform(0.5, 15.0))
+            depths = rng.choice([0, 1, 2], size=len(cluster), p=[0.4, 0.3, 0.3])
+            _apply_depths(cluster.servers, depths, now_ms, rng)
+            query = Query(round_idx, _query_batch(rng), now_ms - float(rng.uniform(0, 60)))
+            got = [(q.query_id, j) for q, j in policy.schedule(now_ms, [query], cluster)]
+            assert set(policy.coefficients.values()) == {1.0}
+            assert got == reference_single_round(
+                query, cluster.servers, depths, policy.estimator, now_ms, rm2.qos_ms,
+                policy.coefficients,
+            )
+
+    @pytest.mark.parametrize("kind", ["online", "perfect", "noisy"])
+    def test_multi_model(self, profiles, catalog, kind):
+        from repro.schedulers.kairos_policy import MultiModelKairosPolicy
+        from repro.sim.cluster import MultiModelCluster
+
+        cluster = MultiModelCluster(
+            {
+                "RM2": HeterogeneousConfig((1, 1, 2, 0), catalog),
+                "WND": HeterogeneousConfig((1, 1, 1, 0), catalog),
+            },
+            profiles,
+        )
+        # an appended base server makes the RM2 g4dn block non-contiguous
+        cluster.add_server("RM2", "g4dn.xlarge")
+        view = cluster.active_view()
+        estimators = {
+            name: _scorer_estimator(kind, profiles, profiles.models[name], seed)
+            for seed, name in enumerate(("RM2", "WND"))
+        }
+        policy = MultiModelKairosPolicy(estimators, coefficient_refresh_interval=10**9)
+        policy.bind(view)
+        for est in estimators.values():
+            est.calls.clear()
+        references = {
+            name: _reference_estimator(kind, est) for name, est in estimators.items()
+        }
+        servers, server_models = view.servers, view.server_models()
+        types = {
+            name: list(
+                dict.fromkeys(
+                    s.type_name for s, m in zip(servers, server_models) if m == name
+                )
+            )
+            for name in estimators
+        }
+        qos = view.qos_by_model()
+        rng = np.random.default_rng(29)
+        now_ms = 1000.0
+        outcomes = Counter()
+        for round_idx in range(250):
+            _learn(estimators, types, profiles, rng)
+            now_ms += float(rng.uniform(0.5, 15.0))
+            depths = rng.choice([0, 1, 2], size=len(servers), p=[0.3, 0.3, 0.4])
+            _apply_depths(servers, depths, now_ms, rng)
+            model = "RM2" if rng.random() < 0.5 else "WND"
+            query = Query(
+                round_idx,
+                _query_batch(rng),
+                now_ms - float(rng.uniform(0.0, 1.2 * qos[model])),
+                model_name=model,
+            )
+            got = [(q.query_id, j) for q, j in policy.schedule(now_ms, [query], view)]
+            want = reference_joint_single_round(
+                query, servers, server_models, depths, references, now_ms, qos,
+                policy.coefficients_by_model,
+            )
+            assert got == want
+            for name in estimators:
+                _check_estimator_traffic(kind, estimators[name], references[name])
+            outcomes[(bool((depths > 1).any()), bool(got))] += 1
+        assert outcomes[(True, True)] and outcomes[(True, False)]
+
+
+def _estimator_factories(profiles, rm2):
+    """One instance factory per estimator class of ``repro.core.latency_model``."""
+    from repro.core import latency_model
+
+    factories = {
+        PerfectLatencyEstimator: lambda: PerfectLatencyEstimator(profiles, rm2),
+        OnlineLatencyEstimator: lambda: OnlineLatencyEstimator(cold_start_prior_ms=3.0),
+        latency_model.NoisyLatencyEstimator: lambda: latency_model.NoisyLatencyEstimator(
+            PerfectLatencyEstimator(profiles, rm2), 0.05, rng=0
+        ),
+    }
+    classes = {
+        cls
+        for cls in vars(latency_model).values()
+        if isinstance(cls, type)
+        and issubclass(cls, LatencyEstimator)
+        and cls is not LatencyEstimator
+    }
+    assert classes == set(factories), "add a factory for every estimator class"
+    return factories
+
+
+_TYPES = ("g4dn.xlarge", "c5n.2xlarge", "r5n.large")
+_observation = st.tuples(
+    st.sampled_from(_TYPES),
+    st.one_of(st.sampled_from((1, 2, 64, 1000)), st.integers(1, 1000)),
+    st.floats(0.01, 500.0),
+)
+_probe = st.tuples(
+    st.sampled_from(_TYPES),
+    st.one_of(st.sampled_from((1, 2, 64, 1000)), st.integers(1, 1000)),
+)
+
+
+@settings(max_examples=60, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(
+    steps=st.lists(
+        st.tuples(st.lists(_observation, max_size=3), st.lists(_probe, min_size=1, max_size=4)),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(steps=[([], [("g4dn.xlarge", 64)])])  # cold start
+@example(steps=[([("r5n.large", 64, 40.0)], [("r5n.large", 64), ("r5n.large", 1000)])])
+@example(
+    steps=[
+        ([("c5n.2xlarge", 2, 3.5), ("c5n.2xlarge", 64, 9.0)], [("c5n.2xlarge", 7)]),
+        ([("c5n.2xlarge", 64, 11.0)], [("c5n.2xlarge", 64), ("c5n.2xlarge", 900)]),
+    ]
+)
+def test_versioned_scalar_prediction_matches_vector(profiles, steps):
+    """Every versioned estimator predicts bit-equal scalars and 1-element vectors
+    under any observation history: cold start, one distinct batch (proportional
+    scaling), the linear fit, and lookup-table hits — in either call order."""
+    from repro.cloud.models import get_model
+
+    versioned = [
+        make()
+        for make in _estimator_factories(profiles, get_model("RM2")).values()
+    ]
+    versioned = [est for est in versioned if est.belief_version is not None]
+    assert {type(est) for est in versioned} == {PerfectLatencyEstimator, OnlineLatencyEstimator}
+    for observations, probes in steps:
+        for est in versioned:
+            for type_name, batch, latency_ms in observations:
+                est.observe(type_name, batch, latency_ms)
+            for k, (type_name, batch) in enumerate(probes):
+                vector = np.asarray([batch])
+                if k % 2:  # vector first: a memoized vector must not change the scalar
+                    many = est.predict_many_ms(type_name, vector)[0]
+                    one = est.predict_ms(type_name, batch)
+                else:
+                    one = est.predict_ms(type_name, batch)
+                    many = est.predict_many_ms(type_name, vector)[0]
+                assert np.float64(one).tobytes() == np.float64(many).tobytes()

@@ -417,47 +417,83 @@ _MASKED_ROUND_DIGESTS = {
     "multi_model": "527d45363e4a656c",
 }
 
+# Captured with ``_digest_of`` on the commit before both policies' single-query
+# rounds moved to one scorer on scalar predictions for versioned estimators.
+_SINGLE_QUERY_DIGESTS = {
+    "perfect": "8c1f01142b87d837",
+    "noisy": "4c7a09a135537cc9",
+}
 
-def _mask_counting(base):
-    """``base`` policy that counts single-query rounds and those with a server
-    holding a queued dispatch (local queue depth > 1, i.e. ineligible)."""
+
+def _mask_counting(base, **kwargs):
+    """``base(**kwargs)`` policy that counts its non-empty rounds, the single-query
+    ones among them, and those with a server holding a queued dispatch (local queue
+    depth > 1, i.e. ineligible) — all read from the pending queue and the cluster,
+    not from the policy's own code paths."""
 
     class MaskCounting(base):
+        rounds = 0
         single_rounds = 0
         masked_rounds = 0
 
         def schedule(self, now_ms, pending, cluster):
+            if pending:
+                self.rounds += 1
             if len(pending) == 1:
                 self.single_rounds += 1
                 if any(s.local_queue_depth > 1 for s in cluster):
                     self.masked_rounds += 1
             return super().schedule(now_ms, pending, cluster)
 
-    return MaskCounting()
+    return MaskCounting(**kwargs)
+
+
+def _steady_shaped_digest(profiles, catalog, policy):
+    """The ``steady`` benchmark's shape at a tenth of its length: RM2 Poisson at
+    290 qps on (6, 6, 12, 0), 5% service noise."""
+    spec = WorkloadSpec(
+        batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
+        num_queries=400,
+    )
+    queries = WorkloadGenerator(spec).generate(rate_qps=290.0, rng=SEED)
+    report = simulate_serving(
+        HeterogeneousConfig((6, 6, 12, 0), catalog),
+        profiles.models["RM2"],
+        profiles,
+        policy,
+        queries,
+        noise=gaussian_service_noise(0.05),
+        rng=np.random.default_rng(SEED + 1),
+    )
+    return _digest_of([_record_tuple(r) for r in report.metrics.records])
 
 
 class TestNearCapacityByteIdentity:
     def test_steady_shaped_static_run(self, profiles, catalog):
-        """The ``steady`` benchmark's shape at a tenth of its length: RM2 Poisson at
-        290 qps on (6, 6, 12, 0), 5% service noise, online learning."""
-        spec = WorkloadSpec(
-            batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
-            num_queries=400,
-        )
-        queries = WorkloadGenerator(spec).generate(rate_qps=290.0, rng=SEED)
+        """Online learning, as the benchmark runs it."""
         policy = _mask_counting(KairosPolicy)
-        report = simulate_serving(
-            HeterogeneousConfig((6, 6, 12, 0), catalog),
-            profiles.models["RM2"],
-            profiles,
-            policy,
-            queries,
-            noise=gaussian_service_noise(0.05),
-            rng=np.random.default_rng(SEED + 1),
-        )
-        digest = _digest_of([_record_tuple(r) for r in report.metrics.records])
+        digest = _steady_shaped_digest(profiles, catalog, policy)
         assert digest == _MASKED_ROUND_DIGESTS["steady"]
         assert policy.masked_rounds >= 0.5 * policy.single_rounds > 0
+
+    @pytest.mark.parametrize("estimator", ["perfect", "noisy"])
+    def test_steady_shaped_run_other_estimators(self, profiles, catalog, estimator):
+        """The oracle estimator (versioned beliefs: scalar predictions) and 5%
+        prediction noise over it (unversioned: per-block vector predictions, whose
+        RNG draws are part of the seed contract)."""
+        from repro.core.latency_model import (
+            NoisyLatencyEstimator,
+            PerfectLatencyEstimator,
+        )
+
+        belief = PerfectLatencyEstimator(profiles, profiles.models["RM2"])
+        if estimator == "noisy":
+            belief = NoisyLatencyEstimator(belief, 0.05, rng=SEED + 2)
+        policy = _mask_counting(KairosPolicy, estimator=belief)
+        digest = _steady_shaped_digest(profiles, catalog, policy)
+        assert digest == _SINGLE_QUERY_DIGESTS[estimator]
+        # non-vacuous: most rounds take the single-query path
+        assert policy.single_rounds >= 0.5 * policy.rounds > 0
 
     def test_multi_model_run(self, profiles, catalog):
         """The co-located elastic scenario above at twice its rates."""

@@ -17,31 +17,33 @@ PROFILE_ROUND = Path(__file__).resolve().parents[2] / "tools" / "profile_round.p
 
 #: Seams each scenario must pass through at least once.
 EXPECTED_SEAMS = {
+    # every smoke round of these three holds one query: scalar predictions only
     "serving": (
         "policy schedule (whole round)",
         "column refresh (incremental)",
-        "row snapshot (pending arrays)",
-        "single-query fast path",
-        "latency prediction",
+        "single-query scorer",
+        "latency prediction (scalar)",
         "dispatch commit",
     ),
     "multi_model": (
         "policy schedule (joint round)",
         "column refresh (incremental)",
-        "row snapshot (pending arrays)",
-        "single-query fast path (joint)",
+        "single-query scorer",
+        "latency prediction (scalar)",
         "dispatch commit (joint)",
     ),
     "gray": (
         "policy schedule (whole round)",
         "column refresh (incremental)",
-        "single-query fast path",
+        "single-query scorer",
         "dispatch commit (elastic)",
         "health scoring (completions)",
         "health check handler",
     ),
     "pipeline": (
         "policy schedule (joint round)",
+        "row snapshot (pending arrays)",
+        "single-query scorer",
         "matrix build (joint assemble)",
         "assignment solve (JV)",
         "pipeline doom check",
@@ -79,3 +81,61 @@ def test_profile_round_smoke(scenario):
         calls[line[:34].rstrip()] = int(line[34:].split()[0])
     for seam in EXPECTED_SEAMS[scenario]:
         assert calls.get(seam, 0) > 0, (seam, out)
+
+
+def _bench_tool():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[2] / "tools" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bench_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _runs(**series):
+    """Canned ``perfbench/run.py`` metrics objects, one per position of the series."""
+    count = len(next(iter(series.values())))
+    return [
+        {name: {"value": values[i]} for name, values in series.items()}
+        for i in range(count)
+    ]
+
+
+def test_ab_summary_medians_ratios_and_wins():
+    bench = _bench_tool()
+    metrics = [
+        {"name": "sim_qps", "better": "higher"},
+        {"name": "p99_latency_ms", "better": "lower"},
+    ]
+    base = _runs(sim_qps=[100.0, 110.0, 90.0, 100.0], p99_latency_ms=[5.0, 5.0, 5.0, 5.0])
+    new = _runs(sim_qps=[120.0, 121.0, 99.0, 95.0], p99_latency_ms=[5.0, 4.0, 5.0, 6.0])
+    qps, p99 = bench.ab_summary(base, new, metrics)
+
+    assert qps["base"] == (97.5, 100.0, 102.5)
+    assert qps["new"] == (98.0, 109.5, 120.25)
+    ratio, low, high = qps["ratio"]
+    assert (low, high) == (0.95, 1.2)
+    assert ratio == pytest.approx(1.1)  # median of 1.2, 1.1, 1.1, 0.95
+    assert (qps["wins"], qps["ties"], qps["pairs"]) == (3, 0, 4)
+    assert qps["beyond_base_iqr"]  # 9.5 apart, base IQR 5
+
+    # lower is better: one win, one loss, two ties
+    assert (p99["wins"], p99["ties"]) == (1, 2)
+    assert p99["ratio"][1:] == (0.8, 1.2)
+    assert not p99["beyond_base_iqr"]
+
+    table = bench.format_ab([qps, p99]).splitlines()
+    assert len(table) == 3
+    assert table[1].startswith("sim_qps") and "3/4" in table[1] and "yes" in table[1]
+    assert "1/4" in table[2] and "(2 equal)" in table[2]
+
+
+def test_ab_requires_a_workload():
+    result = subprocess.run(
+        [sys.executable, str(PROFILE_ROUND.parent / "bench.py"), "--ab", "HEAD"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2 and "--ab needs --workload" in result.stderr

@@ -10,6 +10,9 @@ Usage::
                                              # (2,240 servers, 10^6 queries)
     python tools/bench.py --set-baseline     # record this run as the pre-optimization
                                              # baseline block (done once, before a perf PR)
+    python tools/bench.py --ab HEAD~1 --workload steady [--seed 1] [--pairs 10]
+                                             # interleaved A/B of the repository
+                                             # benchmark: <rev> vs the working tree
 
 The output file (default ``BENCH_perf.json`` at the repository root) holds, per
 ``benchmark@preset`` key, the raw throughput, the machine-normalized throughput, and the
@@ -20,18 +23,30 @@ run exit non-zero — that comparison is the ``bench-smoke`` stage of ``tools/ci
 
 Results from presets that were not run are carried over from the committed file, so a
 ``--quick`` CI run never erases the committed ``full`` numbers.
+
+``--ab`` compares instead of gating.  It checks ``<rev>`` out into a temporary
+``git worktree`` (removed on exit) and alternates ``perfbench/run.py`` runs of one
+workload between that checkout and the working tree, switching which side goes
+first every pair, so host drift lands on both sides alike.  Per end-to-end metric
+of ``BENCHMARK.json`` it prints each side's median and quartiles, the median
+per-pair ratio (working tree over base) with its min-max, and how many pairs the
+working tree won; every run's unscaled rate is printed as it finishes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import numpy as np  # noqa: E402
 from repro.bench.runner import (  # noqa: E402
     compare_results,
     environment_fingerprint,
@@ -41,6 +56,126 @@ from repro.bench.runner import (  # noqa: E402
 from repro.bench.suites import BENCHMARKS  # noqa: E402
 
 SCHEMA = 1
+
+#: The line ``perfbench/run.py`` prints before its result, carrying the unscaled rate.
+_UNSCALED = re.compile(r"([0-9.]+) queries/host-s before rescaling")
+
+
+def _quartiles(values):
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
+    return float(q1), float(median), float(q3)
+
+
+def ab_summary(base_runs, new_runs, metrics):
+    """Per-metric comparison of paired runs (``base_runs[i]`` pairs ``new_runs[i]``).
+
+    ``*_runs`` are the ``metrics`` objects of ``perfbench/run.py`` results and
+    ``metrics`` the ``end_to_end`` entries of ``BENCHMARK.json``.  A pair is a win
+    when the working tree's value is strictly better in the metric's direction.
+    """
+    rows = []
+    for spec in metrics:
+        name = spec["name"]
+        base = [run[name]["value"] for run in base_runs]
+        new = [run[name]["value"] for run in new_runs]
+        ratios = [n / b if b else float("nan") for b, n in zip(base, new)]
+        higher = spec["better"] == "higher"
+        wins = sum(1 for b, n in zip(base, new) if (n > b if higher else n < b))
+        base_q, new_q = _quartiles(base), _quartiles(new)
+        rows.append(
+            {
+                "metric": name,
+                "base": base_q,
+                "new": new_q,
+                "ratio": (_quartiles(ratios)[1], min(ratios), max(ratios)),
+                "wins": wins,
+                "ties": sum(1 for b, n in zip(base, new) if n == b),
+                "pairs": len(base),
+                # the claim rule: medians further apart than the base's spread
+                "beyond_base_iqr": abs(new_q[1] - base_q[1]) > base_q[2] - base_q[0],
+            }
+        )
+    return rows
+
+
+def format_ab(rows) -> str:
+    lines = [
+        f"{'metric':<16} {'base median [q1, q3]':>34} {'new median [q1, q3]':>34} "
+        f"{'ratio (min-max)':>24} {'wins':>6}  |dmedian| > base IQR"
+    ]
+    for row in rows:
+        sides = [
+            f"{m:.6g} [{q1:.6g}, {q3:.6g}]" for q1, m, q3 in (row["base"], row["new"])
+        ]
+        ratio, low, high = row["ratio"]
+        ties = f" ({row['ties']} equal)" if row["ties"] else ""
+        lines.append(
+            f"{row['metric']:<16} {sides[0]:>34} {sides[1]:>34} "
+            f"{f'{ratio:.3f}x ({low:.3f}-{high:.3f})':>24} "
+            f"{row['wins']:>3}/{row['pairs']:<2}  "
+            f"{'yes' if row['beyond_base_iqr'] else 'no'}{ties}"
+        )
+    return "\n".join(lines)
+
+
+def _bench_run(tree: Path, workload: str, seed: int):
+    """One ``perfbench/run.py`` run in ``tree``: (metrics, unscaled queries/host-s)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    if proc.returncode != 0 or result is None or not result["correct"]:
+        raise RuntimeError(
+            f"perfbench run in {tree} failed ({proc.returncode}):\n"
+            + proc.stdout[-2000:]
+            + proc.stderr[-2000:]
+        )
+    unscaled = _UNSCALED.search(proc.stdout)
+    return result["metrics"], float(unscaled.group(1)) if unscaled else float("nan")
+
+
+def run_ab(rev: str, workload: str, seed: int, pairs: int) -> int:
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    sha = subprocess.run(
+        ["git", "rev-parse", "--short", rev],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    print(f"A/B {workload} seed {seed}: {rev} ({sha}) vs the working tree, {pairs} pairs")
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        base_tree = Path(tmp) / "base"
+        subprocess.run(
+            ["git", "worktree", "add", "--detach", "--quiet", str(base_tree), rev],
+            cwd=REPO_ROOT,
+            check=True,
+        )
+        try:
+            runs = {"base": [], "new": []}
+            for pair in range(pairs):
+                order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+                for side in order:
+                    tree = base_tree if side == "base" else REPO_ROOT
+                    metrics, unscaled = _bench_run(tree, workload, seed)
+                    runs[side].append(metrics)
+                    print(
+                        f"  pair {pair + 1:>2}/{pairs} {side:<4} "
+                        f"sim_qps {metrics['sim_qps']['value']:>10.1f}  "
+                        f"unscaled {unscaled:>10.1f} queries/host-s",
+                        flush=True,
+                    )
+        finally:
+            subprocess.run(
+                ["git", "worktree", "remove", "--force", str(base_tree)], cwd=REPO_ROOT
+            )
+            subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT)
+    print(format_ab(ab_summary(runs["base"], runs["new"], spec["end_to_end"])))
+    return 0
 
 
 def load_committed(path: Path) -> dict:
@@ -93,7 +228,23 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--dry-run", action="store_true", help="measure and compare but do not write"
     )
+    parser.add_argument(
+        "--ab",
+        metavar="REV",
+        default=None,
+        help="interleaved A/B of the repository benchmark: REV vs the working tree",
+    )
+    parser.add_argument("--workload", default=None, help="--ab: the workload to run")
+    parser.add_argument("--seed", type=int, default=1, help="--ab: workload seed")
+    parser.add_argument("--pairs", type=int, default=10, help="--ab: run pairs")
     args = parser.parse_args(argv)
+
+    if args.ab is not None:
+        if args.workload is None:
+            parser.error("--ab needs --workload")
+        if args.pairs < 1:
+            parser.error("--pairs must be >= 1")
+        return run_ab(args.ab, args.workload, args.seed, args.pairs)
 
     if sum([args.quick, args.full, args.fleet]) > 1:
         parser.error(

@@ -3,7 +3,7 @@
 
 Runs the same seeded scenario as the ``serving_sim`` / ``multi_model_sim`` perf
 benchmarks with lightweight timers around the round's phases — column refresh, row
-snapshot, matrix build, assignment solve, the fused single-query fast path, latency
+snapshot, matrix build, assignment solve, the single-query scorer, latency
 prediction, and dispatch commit — then prints cumulative wall time, share of the run,
 and per-round cost for each phase.  Use it to locate the next perf lever without
 ad-hoc profiling::
@@ -14,7 +14,7 @@ ad-hoc profiling::
     python tools/profile_round.py --scenario pipeline  # the benchmark's burst workload
 
 Phases overlap where the code nests (latency prediction runs inside the matrix build
-and the single-query fast path; both run inside "policy schedule"), so shares do not
+and the single-query scorer; both run inside "policy schedule"), so shares do not
 sum to 100% — each row answers "how much of the run is spent under this seam".
 """
 
@@ -79,10 +79,10 @@ def _instrument():
     # covers the distributor, both policies, and any future caller
     seam("matrix build (assemble)", cost_matrix, "assemble_cost_matrix")
     seam("matrix build (joint assemble)", cost_matrix, "assemble_multi_model")
-    seam("single-query fast path", kairos_policy.KairosPolicy, "_schedule_single")
-    seam("single-query fast path (joint)", kairos_policy.MultiModelKairosPolicy, "_schedule_single")
+    seam("single-query scorer", kairos_policy._SingleQueryScorer, "decide")
     seam("assignment solve (JV)", JonkerVolgenantSolver, "solve")
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
+    seam("latency prediction (scalar)", OnlineLatencyEstimator, "predict_ms")
     seam("dispatch commit", simulation.ServingSimulation, "_commit")
     seam("dispatch commit (elastic)", elasticity.ElasticServingSimulation, "_commit")
     seam("dispatch commit (joint)", multi_model.MultiModelServingSimulation, "_commit")
