@@ -20,7 +20,7 @@ Sub-packages
 ``repro.cloud``     instance catalog, models, latency profiles, configurations, billing
 ``repro.workload``  queries, batch-size distributions, arrival processes, traces
 ``repro.sim``       discrete-event serving simulator and capacity measurement
-``repro.solvers``   linear-sum-assignment solvers (Jonker-Volgenant, Hungarian, greedy)
+``repro.solvers``   linear-sum-assignment solvers (canonical JV, Hungarian, greedy)
 ``repro.core``      the Kairos planner, distributor, upper bound, Kairos+ search
 ``repro.schedulers``query-distribution policies (Kairos, Ribbon, DRS, CLKWRK, Oracle)
 ``repro.search``    online configuration-search baselines (random, SA, GA, BO)

@@ -2,8 +2,8 @@
 
 The joint multi-model scheduling round solves one matching over the *union* of every
 co-located model's pending queries and instances, so its cost grows superlinearly with
-the number of tenants (the JV solver is ``O(m^2 n)`` on the union sizes).  Because an
-instance can only ever serve its own model, the joint matrix is block-diagonal
+the number of tenants (a Jonker-Volgenant solve is ``O(m^2 n)`` on the union sizes).
+Because an instance can only ever serve its own model, the joint matrix is block-diagonal
 whenever no model's backlog exceeds its own eligible capacity — and
 ``MultiModelKairosPolicy(sharded=True)`` then solves the per-model blocks
 independently, falling back to the union matching on contended rounds and on

@@ -257,17 +257,16 @@ def bench_cost_matrix(preset: str) -> BenchResult:
 
 
 def bench_jv_solver(preset: str) -> BenchResult:
-    """Micro: Jonker-Volgenant matchings solved per second (the round's inner loop).
+    """Micro: round-solver matchings solved per second (the round's inner loop).
 
     Half the instances are dense uniform-random rectangular matrices, half are
     QoS-structured like a real scheduling round: a large Eq. 8 penalty on most
-    entries (with heavy ties, exercising the solver's unassigned-column tie-break)
-    and small feasible pockets.  All solves share one
-    :class:`~repro.solvers.jonker_volgenant.JonkerVolgenantSolver`, matching the
-    scratch-buffer reuse of a simulation run (``solve_many``).
+    entries (with heavy ties, exercising the canonical tie-break) and small
+    feasible pockets.  Every solve goes through ``round_solver("jv")``, the solver
+    each scheduling round calls.
     """
     p = _params(preset)
-    from repro.solvers.jonker_volgenant import JonkerVolgenantSolver
+    from repro.solvers.assignment import round_solver
 
     m, n = int(p["jv_rows"]), int(p["jv_cols"])
     rng = np.random.default_rng(SEED)
@@ -280,10 +279,10 @@ def bench_jv_solver(preset: str) -> BenchResult:
             feasible = rng.random((m, n)) < 0.25
             qos_like[feasible] = rng.uniform(10.0, 300.0, size=int(feasible.sum()))
             matrices.append(qos_like)
-    solver = JonkerVolgenantSolver()
+    solver = round_solver("jv")
 
     def work() -> float:
-        results = solver.solve_many(matrices)
+        results = [solver(cost) for cost in matrices]
         return float(len(results))
 
     solves_per_sec, wall = time_throughput(work, min_seconds=p["min_seconds"])

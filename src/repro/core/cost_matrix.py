@@ -32,8 +32,8 @@ pending query, so those rounds score the full layout (skipping blocks with no
 eligible server, setting ineligible columns to ``+inf`` before the first-minimum
 argmin) — the same decision, estimator calls and RNG stream as the round over the
 eligible servers.  Multi-row rounds still match over a gathered eligible view,
-since penalty columns in the JV matrix would change its duals and tie-breaks.  The
-shared public assembly cores (:func:`assemble_cost_matrix` /
+since penalty columns in the matrix would join the matching and change its
+tie-breaks.  The shared public assembly cores (:func:`assemble_cost_matrix` /
 :func:`assemble_multi_model`) guarantee the incremental path is element-wise
 identical to the from-scratch builders (locked down by the golden and fast-path
 suites).

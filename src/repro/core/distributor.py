@@ -2,10 +2,12 @@
 
 At every scheduling point the distributor builds the heterogeneity-weighted,
 QoS-penalized cost matrix over (pending queries) x (instances) and solves the resulting
-rectangular min-cost bipartite matching with the Jonker-Volgenant algorithm.  The
-matching maximizes the future availability of all instances combined (Eq. 2), which is
-what lets Kairos keep larger, higher-speedup queries on powerful instances and pack
-smaller queries onto the cheaper auxiliary instances without violating QoS (Fig. 5).
+rectangular min-cost bipartite matching with the Jonker-Volgenant algorithm (scipy's
+Crouse variant behind a canonical tie-break; see
+:func:`repro.solvers.assignment.canonical_assignment`).  The matching maximizes the
+future availability of all instances combined (Eq. 2), which is what lets Kairos keep
+larger, higher-speedup queries on powerful instances and pack smaller queries onto the
+cheaper auxiliary instances without violating QoS (Fig. 5).
 
 Per Eq. 6 at most one query is assigned to each instance per round; unassigned queries
 remain in the central queue and their accumulated waiting time ``W_i`` tightens their
@@ -68,8 +70,8 @@ class QueryDistributor:
     qos_ms:
         The model's QoS target.
     solver_method:
-        Assignment solver passed to :func:`repro.solvers.assignment.solve_assignment`
-        (default: the from-scratch Jonker-Volgenant implementation).
+        Assignment method resolved by :func:`repro.solvers.assignment.round_solver`
+        (default ``"jv"``: the canonical Jonker-Volgenant solver).
     max_queries_per_round:
         Upper bound on how many pending queries enter one matching (earliest arrivals
         first).  The paper's controller solves 20x20 matchings in well under a
@@ -87,7 +89,6 @@ class QueryDistributor:
         qos_headroom: float = DEFAULT_QOS_HEADROOM,
         penalty_factor: float = DEFAULT_PENALTY_FACTOR,
         max_queries_per_round: Optional[int] = 64,
-        solver=None,
     ):
         if qos_ms <= 0:
             raise ValueError("qos_ms must be positive")
@@ -100,11 +101,7 @@ class QueryDistributor:
         if max_queries_per_round is not None:
             check_positive_int(max_queries_per_round, "max_queries_per_round")
         self.max_queries_per_round = max_queries_per_round
-        # One persistent solver: for "jv" its scratch buffers are reused across every
-        # round of a simulation run (solve_many semantics).  Callers that rebuild
-        # distributors mid-run (KairosPolicy's coefficient refresh) pass their own
-        # long-lived solver so the scratch survives the rebuild.
-        self._solver = solver if solver is not None else round_solver(solver_method)
+        self._solver = round_solver(solver_method)
 
     def distribute(
         self,

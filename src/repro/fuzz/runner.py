@@ -69,7 +69,6 @@ class SchedulingRound:
     """One observed call into the policy's ``schedule``."""
 
     time_ms: float
-    pending_ids: Tuple[int, ...]
     assigned_ids: Tuple[int, ...]
 
 
@@ -77,7 +76,7 @@ class RecordingPolicy:
     """Transparent policy wrapper: the invariant checker's hook into the event loop.
 
     Forwards every call to the wrapped policy unchanged while recording (a) each
-    scheduling round's time, pending set, and assignments, and (b) every completion
+    scheduling round's time and assignments, and (b) every completion
     the simulator reports.  In the preemption loop, killed dispatches are voided
     *before* ``observe_completion`` fires, so the recorded completion stream is
     exactly the set of services that actually stood — which is what the conservation
@@ -100,14 +99,9 @@ class RecordingPolicy:
         return None
 
     def schedule(self, now, pending, view):
-        pending_ids = tuple(q.query_id for q in pending)
         assignments = self.inner.schedule(now, pending, view)
         self.rounds.append(
-            SchedulingRound(
-                time_ms=float(now),
-                pending_ids=pending_ids,
-                assigned_ids=tuple(q.query_id for q, _ in assignments),
-            )
+            SchedulingRound(float(now), tuple(q.query_id for q, _ in assignments))
         )
         return assignments
 

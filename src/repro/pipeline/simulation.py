@@ -46,7 +46,7 @@ from repro.sim.multi_model import (
     MultiModelServingSimulation,
     MultiModelSimulationReport,
 )
-from repro.workload.query import Query, check_unique_query_ids
+from repro.workload.query import Query
 
 
 class PipelineServingSimulation(MultiModelServingSimulation):
@@ -99,20 +99,14 @@ class PipelineServingSimulation(MultiModelServingSimulation):
         self._pending_ref = None
 
     # -- run ----------------------------------------------------------------------------
-    def run(self, queries: Sequence[Query]) -> MultiModelSimulationReport:
+    def _input_stream(self, queries: Sequence[Query]) -> Sequence[Query]:
         # successor stages join the stream mid-run under their registered ids
         successors = [
             r.queries[n] for r in self.coordinator.runtimes for n in r.unreleased()
         ]
-        check_unique_query_ids([*queries, *successors])
-        if self.coordinator.active:
-            for runtime in self.coordinator.runtimes:
-                for stage in runtime.graph.stages:
-                    if stage.model_name not in self.cluster.model_names:
-                        raise KeyError(
-                            f"graph {runtime.graph.graph_id} stage {stage.name!r} "
-                            f"targets unregistered model {stage.model_name!r}"
-                        )
+        return [*queries, *successors]
+
+    def run(self, queries: Sequence[Query]) -> MultiModelSimulationReport:
         report = super().run(queries)
         if self.released_queries:
             # Releases are offered load discovered mid-run: widen the offered count

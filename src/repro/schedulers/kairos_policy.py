@@ -136,13 +136,13 @@ class _SingleQueryPlan:
 class _SingleQueryScorer:
     """One-pending-query rounds of both Kairos policies, without matrix or solver.
 
-    A single-query matching is an argmin over one weighted row (identical to the JV
-    single-row fast path).  The scorer reproduces that row over the bind's full
-    column layout with the matrix path's per-element operations — ``offset +
-    prediction``, the Eq. 3 fold against ``qos_headroom * qos + 1e-9``, the Eq. 8
-    penalty and the Eq. 2 weighting — sets ineligible columns to ``+inf``, and takes
-    the same first-minimum ``argmin``, so the decision is byte-identical to the
-    round over the eligible servers.
+    A single-query matching is an argmin over one weighted row (identical to the
+    round solver's single-row fast path).  The scorer reproduces that row over the
+    bind's full column layout with the matrix path's per-element operations —
+    ``offset + prediction``, the Eq. 3 fold against ``qos_headroom * qos + 1e-9``,
+    the Eq. 8 penalty and the Eq. 2 weighting — sets ineligible columns to
+    ``+inf``, and takes the same first-minimum ``argmin``, so the decision is
+    byte-identical to the round over the eligible servers.
 
     Predictions come one per eligible block, in
     :meth:`~repro.core.cost_matrix.RoundColumnState.call_order`, and are spread over
@@ -241,7 +241,8 @@ class KairosPolicy(SchedulingPolicy):
     use_perfect_estimator:
         Convenience switch: use the true profiles instead of online learning.
     solver_method:
-        Assignment solver (default: the from-scratch Jonker-Volgenant implementation).
+        Assignment method for :func:`~repro.solvers.assignment.round_solver` (default
+        ``"jv"``: the canonical Jonker-Volgenant solver).
     max_queries_per_round:
         Cap on the matching size per round (earliest arrivals first).
     coefficient_refresh_interval:
@@ -290,9 +291,6 @@ class KairosPolicy(SchedulingPolicy):
         self._single = _SingleQueryScorer(
             qos_headroom, penalty_factor, self._defer_violations
         )
-        # One solver for the policy's whole life: coefficient refreshes rebuild the
-        # distributor, but the JV scratch buffers survive across rebuilds.
-        self._solver = round_solver(solver_method)
 
     # -- lifecycle -----------------------------------------------------------------------
     def on_bind(self) -> None:
@@ -330,7 +328,6 @@ class KairosPolicy(SchedulingPolicy):
             qos_headroom=self._qos_headroom,
             penalty_factor=self._penalty_factor,
             max_queries_per_round=self._max_queries_per_round,
-            solver=self._solver,
         )
 
     # -- scheduling ---------------------------------------------------------------------
@@ -388,7 +385,7 @@ class KairosPolicy(SchedulingPolicy):
         considered, batches, arrivals = _round_rows(
             pending, self._distributor.max_queries_per_round
         )
-        # A JV matrix with masked penalty columns would change duals and
+        # Masked penalty columns would join the matching and change its
         # tie-breaks, so multi-row rounds match over the gathered eligible view.
         columns = columns_state.eligible_view()
         waits = np.maximum(now_ms - arrivals, 0.0)
@@ -460,12 +457,17 @@ class MultiModelKairosPolicy(SchedulingPolicy):
     matching: a contended model (more pending queries than its own eligible
     instances — which rows defer becomes a global choice) or a shard solution
     containing a QoS-penalized assignment (the union may exile such a row onto a
-    cross-model column, displacing the other model's matching).  On the sharded
-    rounds that remain, both paths commit the same per-model matchings (asserted by
+    cross-model column, displacing the other model's matching).  The mode is off
+    by default.
+
+    Tie-break rule.  Every solve is :func:`~repro.solvers.assignment.canonical_assignment`
+    (identical columns dealt lowest index first, in ascending row order), and the
+    union solve is followed by a per-model block re-match (:meth:`_rematch_blocks`),
+    so a model's decisions depend only on its own block.  On every sharded round
+    both paths therefore commit the same per-model matchings (asserted by
     the fig10-style benchmark; a >10x heterogeneity-coefficient spread across
     models could in principle still make the union prefer an exile over a feasible
-    in-model slot, which is why the benchmark checks rather than assumes).  The
-    mode is off by default so existing runs stay byte-identical.
+    in-model slot, which is why the benchmark checks rather than assumes).
     """
 
     name = "KAIROS-MM"
@@ -503,7 +505,6 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         self._coefficients: Dict[str, Dict[str, float]] = {}
         self._qos_by_model: Dict[str, float] = {}
         self._rounds = 0
-        # Persistent solver: jv scratch buffers are reused across all rounds of a run.
         self._solver = round_solver(solver_method)
         self._columns: Optional[RoundColumnState] = None
         self._columns_source = None
@@ -674,6 +675,9 @@ class MultiModelKairosPolicy(SchedulingPolicy):
                 matrix.qos_feasible, weighted * row_scale[:, None], weighted
             )
         result_rows, result_cols = self._solver(weighted)
+        result_cols = self._rematch_blocks(
+            weighted, matrix.cross_model, matrix.query_models, result_rows, result_cols
+        )
         self.union_rounds += 1
         self.solved_cells += matrix.weighted.size
 
@@ -695,6 +699,39 @@ class MultiModelKairosPolicy(SchedulingPolicy):
                     continue
             decisions.append((query, eligible_indices[col]))
         return decisions
+
+    def _rematch_blocks(
+        self,
+        weighted: np.ndarray,
+        cross_model: np.ndarray,
+        query_models: Tuple[str, ...],
+        rows: np.ndarray,
+        cols: np.ndarray,
+    ) -> np.ndarray:
+        """Re-solve each model's in-model rows over its columns no other model claimed.
+
+        The union optimum restricted to one model's block is optimal for that block,
+        so the re-solve keeps the objective; it replaces the union solver's choice
+        among equal-cost in-model matchings (any permutation of rows over same-type
+        servers ties) with the block's own canonical matching, so a model's
+        decisions depend only on its block — what the sharded path solves.  Returns
+        the new column of each of ``rows``; cross-model pairs are unchanged.
+        """
+        cross = cross_model[rows, cols]
+        claimed = np.zeros(weighted.shape[1], dtype=bool)
+        claimed[cols[cross]] = True
+        blocks: Dict[str, List[int]] = {}
+        for pos in np.flatnonzero(~cross).tolist():
+            blocks.setdefault(query_models[rows[pos]], []).append(pos)
+        cols = cols.copy()
+        for positions in blocks.values():
+            block_rows = rows[positions]
+            free = np.flatnonzero(~(cross_model[block_rows[0]] | claimed))
+            if block_rows.size == weighted.shape[0] and free.size == weighted.shape[1]:
+                continue  # the block is the whole matrix: already canonical
+            sub_rows, sub_cols = self._solver(weighted[np.ix_(block_rows, free)])
+            cols[np.asarray(positions)[sub_rows]] = free[sub_cols]
+        return cols
 
     def _schedule_sharded(
         self,

@@ -56,7 +56,7 @@ from repro.sim.pending import PendingQueue
 from repro.sim.server import ServerInstance, ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
-from repro.workload.query import Query, check_unique_query_ids
+from repro.workload.query import Query, check_serving_inputs
 
 
 def _probe_batches(max_batch: int) -> List[int]:
@@ -350,6 +350,12 @@ class ElasticServingSimulation:
         self.scripted_events = tuple(scripted_events)
         for event in self.scripted_events:
             self._validate_scripted(event)
+        check_serving_inputs(
+            (),
+            (cluster.model.name,),
+            self.scripted_events,
+            cluster.config.catalog,
+        )
         self._ran = False
 
     def _validate_scripted(self, event: Event) -> None:
@@ -378,7 +384,7 @@ class ElasticServingSimulation:
                 "(and controller) for another run"
             )
         self._ran = True
-        check_unique_query_ids(queries)
+        check_serving_inputs(queries, (self.cluster.model.name,))
         # An empty stream is a valid no-op: zero offered load serves zero queries
         # with empty metrics (scripted provisioning events still apply).
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))

@@ -61,7 +61,7 @@ from repro.sim.pending import PendingQueue
 from repro.sim.server import ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
-from repro.workload.query import Query, check_unique_query_ids
+from repro.workload.query import Query, check_serving_inputs
 
 
 @dataclass
@@ -244,10 +244,19 @@ class MultiModelServingSimulation:
                 raise ValueError("scripted events must be SCALE_UP or SCALE_DOWN")
             if not isinstance(event.payload, ScaleRequest):
                 raise ValueError("scripted scale events must carry a ScaleRequest payload")
-            self._request_model(event.payload)  # validates the model tag
+        check_serving_inputs(
+            (),
+            cluster.model_names,
+            self.scripted_events,
+            cluster.profiles.catalog,
+        )
         self._ran = False
 
     # -- helpers -----------------------------------------------------------------------
+    def _input_stream(self, queries: Sequence[Query]) -> Sequence[Query]:
+        """Every query the run will admit, for the up-front input check."""
+        return queries
+
     def _request_model(self, request: ScaleRequest) -> str:
         """Resolve the model a scale request targets (sole-model fallback)."""
         if request.model_name is not None:
@@ -270,20 +279,9 @@ class MultiModelServingSimulation:
                 "another run"
             )
         self._ran = True
-        check_unique_query_ids(queries)
         # An empty stream is a valid no-op: zero offered load serves zero queries
         # with empty metrics (scripted provisioning events still apply).
-        sole = self.cluster.model_names[0] if len(self.cluster.model_names) == 1 else None
-        for q in queries:
-            if q.model_name is None and sole is None:
-                raise ValueError(
-                    f"query {q.query_id} carries no model tag but "
-                    f"{len(self.cluster.model_names)} models are co-located"
-                )
-            if q.model_name is not None and q.model_name not in self.cluster.model_names:
-                raise KeyError(
-                    f"query {q.query_id} targets unregistered model {q.model_name!r}"
-                )
+        check_serving_inputs(self._input_stream(queries), self.cluster.model_names)
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))
         n = len(ordered)
         self._outstanding = n

@@ -47,7 +47,7 @@ from repro.sim.metrics import QueryRecord, ServingMetrics
 from repro.sim.pending import PendingQueue
 from repro.sim.server import ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
-from repro.workload.query import Query, check_unique_query_ids
+from repro.workload.query import Query, check_serving_inputs
 
 
 @dataclass
@@ -134,7 +134,7 @@ class ServingSimulation:
 
         An empty stream is a valid no-op and returns a report with empty metrics.
         """
-        check_unique_query_ids(queries)
+        check_serving_inputs(queries, (self.cluster.model.name,))
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))
         self.cluster.reset()
         if self.admission is not None:

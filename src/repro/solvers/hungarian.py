@@ -1,7 +1,7 @@
 """Hungarian (Kuhn-Munkres) algorithm with dual potentials, O(n^2 m).
 
-Kept as an independent reference implementation: the test suite cross-checks the
-Jonker-Volgenant solver, the Hungarian solver, and SciPy against each other on random
+Kept as an independent reference implementation and ablation baseline: the test
+suite cross-checks it against the round solver and a Jonker-Volgenant oracle on random
 instances, and the solver ablation benchmark compares their runtime on the matching
 sizes Kairos actually encounters (tens of queries x tens of instances).
 """

@@ -9,7 +9,7 @@ its arrival, including any time spent waiting in the central queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -75,15 +75,59 @@ class Query:
         return f"Q{self.query_id}(b={self.batch_size}, t={self.arrival_time_ms:.2f}ms{tag})"
 
 
-def check_unique_query_ids(queries: Iterable[Query]) -> None:
-    """Reject an input stream in which two queries share a ``query_id``.
+def check_serving_inputs(
+    queries: Sequence[Query],
+    model_names: Collection[str],
+    scripted_events: Iterable = (),
+    catalog: Collection[str] = (),
+) -> None:
+    """Reject a run's inputs that name something its cluster cannot serve.
 
-    Every serving loop keys its bookkeeping (pending set, retries, deadlines,
-    records) on the id, so a duplicate is either served twice or collides mid-run;
-    the loops call this before any event fires.
+    Every serving loop calls this before any event fires (on its scripted events
+    when built, on its query stream when run), so a bad input raises a
+    ``ValueError`` naming it rather than being served silently or failing mid-run:
+
+    * a repeated query id — the loops key their bookkeeping (pending set,
+      retries, deadlines, records) on it, so a duplicate is either served twice
+      or collides mid-run;
+    * a query tagged with a model outside ``model_names``, or untagged while
+      several models are co-located;
+    * a scripted event whose payload names an instance type outside ``catalog``,
+      or a scale request naming a model outside ``model_names`` (or none while
+      several models are co-located).
     """
+    sole = len(model_names) == 1
     seen = set()
     for query in queries:
         if query.query_id in seen:
             raise ValueError(f"duplicate query id {query.query_id} in the input stream")
         seen.add(query.query_id)
+        tag = query.model_name
+        if tag is None:
+            if not sole:
+                raise ValueError(
+                    f"query {query.query_id} carries no model tag but "
+                    f"{len(model_names)} models are co-located"
+                )
+        elif tag not in model_names:
+            raise ValueError(
+                f"query {query.query_id} targets model {tag!r}, which the cluster "
+                f"does not serve (models: {sorted(model_names)})"
+            )
+    for event in scripted_events:
+        what = f"scripted {event.kind.name} at {event.time_ms} ms"
+        type_name = getattr(event.payload, "type_name", None)
+        if type_name is not None and type_name not in catalog:
+            raise ValueError(f"{what} targets unknown instance type {type_name!r}")
+        if not hasattr(event.payload, "model_name"):
+            continue  # crash storms and preemption bursts span every model
+        model_name = event.payload.model_name
+        if model_name is None and not sole:
+            raise ValueError(
+                f"{what} carries no model tag but {len(model_names)} models are "
+                "co-located"
+            )
+        if model_name is not None and model_name not in model_names:
+            raise ValueError(
+                f"{what} targets model {model_name!r}, which the cluster does not serve"
+            )

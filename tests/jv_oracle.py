@@ -1,23 +1,23 @@
-"""Jonker-Volgenant shortest-augmenting-path solver for rectangular assignment problems.
+"""Jonker-Volgenant shortest-augmenting-path solver: the test suite's assignment oracle.
 
-This is a from-scratch implementation of the algorithm the paper uses for its query
-distribution (Sec. 5.1 cites Jonker & Volgenant 1987 and Crouse 2016).  For an
-``m x n`` cost matrix with ``m <= n`` it maintains dual potentials ``u`` (rows) and
-``v`` (columns) and, for each row in turn, runs a Dijkstra-style search over reduced
-costs to find a shortest augmenting path, then updates the potentials and flips the
-assignments along the path.  Complexity is ``O(m^2 n)``.
+A from-scratch implementation of the algorithm the paper uses for its query
+distribution (Sec. 5.1 cites Jonker & Volgenant 1987 and Crouse 2016).  Scheduling
+rounds are solved by :func:`repro.solvers.assignment.canonical_assignment` (scipy's
+Crouse variant plus a canonical tie-break); this independent solver checks that every
+round reaches the optimal objective.
+
+For an ``m x n`` cost matrix with ``m <= n`` it maintains dual potentials ``u`` (rows)
+and ``v`` (columns) and, for each row in turn, runs a Dijkstra-style search over
+reduced costs to find a shortest augmenting path, then updates the potentials and flips
+the assignments along the path.  Complexity is ``O(m^2 n)``.
 
 The Dijkstra loop is a *flat-array* core: one persistent ``shortest`` vector holds the
 tentative distances with an infinity sentinel for closed columns, so the per-step
-column selection is a plain masked ``argmin`` — no ``nonzero``/fancy-indexing
-re-materialization of the open set.  Improvements are written with ``np.copyto(...,
-where=...)``, the values frozen at column-closing time feed the (lazy, end-of-row)
-dual updates, and :class:`JonkerVolgenantSolver` reuses all scratch buffers across the
-thousands of matchings one simulation run solves (``solve_many`` / one ``solve`` per
-scheduling round).  The produced matching — including every tie-break — is identical
-to the original per-step re-materializing implementation; the property suite pins
-element-wise equality against a frozen copy of it and optimality against the
-Hungarian oracle.
+column selection is a plain masked ``argmin``.  Improvements are written with
+``np.copyto(..., where=...)``, the values frozen at column-closing time feed the (lazy,
+end-of-row) dual updates, and :class:`JonkerVolgenantSolver` reuses its scratch
+buffers across calls.  Its matching, including every tie-break, is identical to the
+per-step re-materializing reference in ``tests/property/test_property_assignment.py``.
 
 Matrices with more rows than columns are solved by transposing, which preserves the
 matching.  All costs must be finite.
@@ -25,7 +25,6 @@ matching.  All costs must be finite.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -34,14 +33,9 @@ import numpy as np
 class JonkerVolgenantSolver:
     """A JV solver whose scratch buffers persist across calls.
 
-    One scheduling round solves one matching; a serving run solves thousands.  The
-    module-level :func:`jonker_volgenant_assignment` allocates its Dijkstra state per
-    row, which the flat core here replaces with per-instance buffers grown to the
-    largest problem seen (``_ensure``) and reset with ``fill`` — the only per-round
-    allocations left are the two result arrays.
-
-    Not thread-safe (no part of the simulator is); create one instance per concurrent
-    pipeline.
+    Per-instance buffers are grown to the largest problem seen (``_ensure``) and
+    reset with ``fill``; the only per-call allocations are the two result arrays.
+    Not thread-safe.
     """
 
     __slots__ = (
@@ -232,27 +226,9 @@ class JonkerVolgenantSolver:
         return col4row.copy()
 
 
-#: Per-thread default solver backing the functional entry point: ad-hoc callers
-#: (tests, analysis scripts) get scratch reuse across calls, while concurrent
-#: threads — which the previous pure-function form supported — never share the
-#: mutable buffers.
-_LOCAL = threading.local()
-
-
 def jonker_volgenant_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Solve ``min sum(cost[i, j])`` over one-to-one matchings of rows to columns.
 
-    Parameters
-    ----------
-    cost:
-        2-D array of finite costs.  All ``min(m, n)`` rows (or columns) are matched.
-
-    Returns
-    -------
-    (row_indices, col_indices):
-        Arrays of equal length ``min(m, n)`` giving matched pairs, sorted by row index.
+    Returns arrays of equal length ``min(m, n)`` giving matched pairs, sorted by row.
     """
-    solver = getattr(_LOCAL, "solver", None)
-    if solver is None:
-        solver = _LOCAL.solver = JonkerVolgenantSolver()
-    return solver.solve(cost)
+    return JonkerVolgenantSolver().solve(cost)

@@ -2,11 +2,12 @@
 
 Invariants:
 
-* the from-scratch Jonker-Volgenant and Hungarian solvers always achieve exactly the
-  optimal cost reported by SciPy's reference implementation;
+* the Jonker-Volgenant oracle (``tests/jv_oracle.py``) and the Hungarian solver
+  always achieve exactly the optimal cost reported by SciPy's reference
+  implementation;
 * every solver produces a valid matching (unique rows/columns, min(m, n) pairs);
 * the greedy matcher never beats the optimum;
-* the flat-array JV core (PR 5 rewrite) returns the *element-wise identical*
+* the oracle's flat-array JV core returns the *element-wise identical*
   assignment to a frozen copy of the pre-rewrite implementation — on tie-free and
   tie-heavy matrices alike — and matches the Hungarian solver's total cost on random
   rectangular matrices.
@@ -17,12 +18,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
+from jv_oracle import JonkerVolgenantSolver, jonker_volgenant_assignment
 from repro.solvers.greedy import greedy_assignment
 from repro.solvers.hungarian import hungarian_assignment
-from repro.solvers.jonker_volgenant import (
-    JonkerVolgenantSolver,
-    jonker_volgenant_assignment,
-)
 
 
 # ---------------------------------------------------------------------------------------

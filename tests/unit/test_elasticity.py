@@ -628,7 +628,7 @@ class TestElasticServingSimulation:
 
     def test_unknown_scale_type_raises(self, rm2_cluster, small_stream):
         events = [Event(100.0, EventKind.SCALE_DOWN, ScaleRequest("no-such-type", 1))]
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no-such-type"):
             simulate_elastic_serving(
                 rm2_cluster, KairosPolicy(), small_stream, scripted_events=events, rng=3
             )

@@ -392,7 +392,7 @@ class TestMultiModelServingSimulation:
             )
 
     def test_unknown_model_tag_rejected(self, mm_cluster):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'NCF'"):
             simulate_multi_model_serving(
                 mm_cluster,
                 MultiModelKairosPolicy(),

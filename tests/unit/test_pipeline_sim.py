@@ -403,7 +403,7 @@ class TestPipelineSimulation:
             CriticalPathKairosPolicy(coordinator),
             rng=np.random.default_rng(3),
         )
-        with pytest.raises(KeyError, match="GHOST"):
+        with pytest.raises(ValueError, match="GHOST"):
             sim.run(sources)
 
     @pytest.mark.parametrize("sharded", [False, True])

@@ -517,8 +517,13 @@ class TestNearCapacityByteIdentity:
 # stage predictions and critical paths per belief version.  Each run must examine
 # live graphs for doom on many rounds (counted from the coordinator's runtimes,
 # outside the cache), so the pins cannot pass with the slack checks idle.
+#
+# ``burst`` was re-captured once when joint rounds moved to the canonical assignment
+# rule (scipy's solver, identical-column classes dealt lowest index first, per-model
+# block re-match): its joint rounds pick different equal-cost matchings than the
+# retired Python JV search did.  ``fig20_online`` did not move.
 _PIPELINE_DIGESTS = {
-    "burst": "db5f24235a813611",
+    "burst": "c0e55ec813c5158f",
     "fig20_online": "3c86b05f3dee9804",
 }
 

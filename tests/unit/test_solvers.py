@@ -1,13 +1,20 @@
-"""Tests for repro.solvers: Jonker-Volgenant, Hungarian, greedy, and the facade."""
+"""Tests for repro.solvers: the exact round solver, Hungarian, greedy, and the facade."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.solvers.assignment import AssignmentResult, available_methods, solve_assignment
+from repro.solvers.assignment import (
+    AssignmentResult,
+    available_methods,
+    round_solver,
+    solve_assignment,
+)
 from repro.solvers.greedy import greedy_assignment
 from repro.solvers.hungarian import hungarian_assignment
-from repro.solvers.jonker_volgenant import jonker_volgenant_assignment
+
+# the exact "jv" method every scheduling round calls
+jonker_volgenant_assignment = round_solver("jv")
 
 
 def scipy_cost(cost):
@@ -61,7 +68,7 @@ class TestJonkerVolgenant:
             assert cost[rows, cols].sum() == pytest.approx(scipy_cost(cost))
 
     def test_single_row_tie_break_is_first_minimum(self):
-        # the fast path must keep the Dijkstra loop's first-open-column tie-break
+        # the fast path takes the first minimum
         cost = np.array([[3.0, 1.0, 1.0, 2.0, 1.0]])
         rows, cols = jonker_volgenant_assignment(cost)
         assert rows.tolist() == [0] and cols.tolist() == [1]

@@ -45,7 +45,7 @@ EXPECTED_SEAMS = {
         "row snapshot (pending arrays)",
         "single-query scorer",
         "matrix build (joint assemble)",
-        "assignment solve (JV)",
+        "assignment solve (round solver)",
         "pipeline doom check",
         "pipeline laxity (per row)",
     ),

@@ -54,6 +54,7 @@ class PhaseTimer:
 def _instrument():
     """Install timers at the round's phase seams; returns the timer list."""
     import repro.core.cost_matrix as cost_matrix
+    import repro.core.distributor as distributor
     import repro.schedulers.kairos_policy as kairos_policy
     import repro.sim.elasticity as elasticity
     import repro.sim.health as health
@@ -61,7 +62,6 @@ def _instrument():
     import repro.sim.simulation as simulation
     from repro.core.latency_model import OnlineLatencyEstimator
     from repro.pipeline.runtime import PipelineCoordinator
-    from repro.solvers.jonker_volgenant import JonkerVolgenantSolver
 
     timers = []
 
@@ -80,7 +80,16 @@ def _instrument():
     seam("matrix build (assemble)", cost_matrix, "assemble_cost_matrix")
     seam("matrix build (joint assemble)", cost_matrix, "assemble_multi_model")
     seam("single-query scorer", kairos_policy._SingleQueryScorer, "decide")
-    seam("assignment solve (JV)", JonkerVolgenantSolver, "solve")
+    # policies and distributors take their solver from ``round_solver`` at
+    # construction, so wrapping what it returns times every round's solve
+    solve_timer = PhaseTimer("assignment solve (round solver)")
+    make_solver = kairos_policy.round_solver
+
+    def timed_round_solver(method):
+        return solve_timer.wrap(make_solver(method))
+
+    kairos_policy.round_solver = distributor.round_solver = timed_round_solver
+    timers.append(solve_timer)
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
     seam("latency prediction (scalar)", OnlineLatencyEstimator, "predict_ms")
     seam("dispatch commit", simulation.ServingSimulation, "_commit")
