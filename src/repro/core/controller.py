@@ -377,6 +377,7 @@ class ElasticKairosController:
         self._provisioned_rate_qps = self.base_rate_qps
         self._last_replan_ms = 0.0
         self._current_config: Optional[HeterogeneousConfig] = None
+        self._planners: Dict[float, KairosPlanner] = {}
         self.decisions: List[ReplanDecision] = []
         #: (time_ms, type_name, count) of every preemption this controller absorbed.
         self.preemptions: List[Tuple[float, str, int]] = []
@@ -390,11 +391,29 @@ class ElasticKairosController:
 
     # -- planning ----------------------------------------------------------------------
     def _plan_at_budget(self, budget_per_hour: float) -> KairosPlan:
-        if self._batch_window:
-            batch_samples: Optional[Sequence[int]] = list(self._batch_window)
+        """Plan against the monitored window with this budget's planner.
+
+        Each budget keeps one planner, fed every new window in place, so a re-plan
+        keeps its estimator's cutoffs, latency tables and cutoff grouping.  An empty
+        monitor instead draws a fresh window from the fallback mix through a fresh
+        planner, exactly as many draws from the controller's generator as before.
+        """
+        if not self._batch_window:
+            return self._new_planner(budget_per_hour, None).plan()
+        samples = list(self._batch_window)
+        planner = self._planners.get(budget_per_hour)
+        if planner is None:
+            planner = self._planners[budget_per_hour] = self._new_planner(
+                budget_per_hour, samples
+            )
         else:
-            batch_samples = None
-        planner = KairosPlanner(
+            planner.update_batch_samples(samples)
+        return planner.plan()
+
+    def _new_planner(
+        self, budget_per_hour: float, batch_samples: Optional[Sequence[int]]
+    ) -> KairosPlanner:
+        return KairosPlanner(
             self.model,
             budget_per_hour,
             profiles=self.profiles,
@@ -404,7 +423,6 @@ class ElasticKairosController:
             num_monitor_samples=self.num_monitor_samples,
             rng=self._rng,
         )
-        return planner.plan()
 
     def initial_plan(self) -> KairosPlan:
         """Plan for the base budget; remembers the selection as the live configuration."""

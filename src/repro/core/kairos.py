@@ -9,6 +9,7 @@ load changes "in one shot" (Fig. 12).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,11 @@ from repro.cloud.profiles import ProfileRegistry, default_profile_registry
 from repro.cloud.spot import MS_PER_HOUR, SpotMarket
 from repro.core.config_space import ConfigSpace, config_space
 from repro.core.selection import SelectionResult, select_configuration
-from repro.core.upper_bound import ThroughputUpperBoundEstimator
+from repro.core.upper_bound import (
+    ThroughputUpperBoundEstimator,
+    ranked_pairs,
+    ranking_order,
+)
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.batch_sizes import BatchSizeDistribution, production_batch_distribution
@@ -31,32 +36,39 @@ from repro.workload.batch_sizes import BatchSizeDistribution, production_batch_d
 
 @dataclass(frozen=True)
 class KairosPlan:
-    """Result of one planning pass."""
+    """Result of one planning pass.
+
+    ``head`` is the prefix of the upper-bound ranking that selection reads (at least
+    its top-k, widened over ties at the k-th bound).  The full ranking, ``ranked``,
+    is built from ``configs`` and ``bounds`` on first access: only Kairos+ and the
+    analyses read it, so a re-plan never lists and sorts the whole space.
+    """
 
     model_name: str
     budget_per_hour: float
     selected_config: HeterogeneousConfig
     selection: SelectionResult
-    ranked: Tuple[Tuple[HeterogeneousConfig, float], ...]
+    head: Tuple[Tuple[HeterogeneousConfig, float], ...]
     search_space_size: int
     planning_seconds: float
-
-    def __post_init__(self) -> None:
-        # Resolve the selected configuration's bound once; repeated accessor calls used
-        # to re-scan the full ranked list (thousands of configs at realistic budgets).
-        for config, bound in self.ranked:
-            if config == self.selected_config:
-                object.__setattr__(self, "_selected_upper_bound", float(bound))
-                return
-        raise LookupError("selected configuration missing from the ranked list")
+    #: The ranked space, in enumeration order, and its Eq. 15 bound per configuration.
+    configs: Sequence[HeterogeneousConfig] = field(repr=False, compare=False)
+    bounds: np.ndarray = field(repr=False, compare=False)
 
     @property
     def selected_upper_bound(self) -> float:
-        """Upper bound of the selected configuration (cached at construction)."""
-        return self._selected_upper_bound
+        """Upper bound of the selected configuration (always inside the head)."""
+        return self.head[self.selection.selected_rank][1]
+
+    @functools.cached_property
+    def ranked(self) -> Tuple[Tuple[HeterogeneousConfig, float], ...]:
+        """Every configuration by decreasing upper bound (ties keep enumeration order)."""
+        return tuple(ranked_pairs(self.configs, self.bounds, ranking_order(self.bounds)))
 
     def top(self, k: int) -> List[Tuple[HeterogeneousConfig, float]]:
         """The ``k`` highest-upper-bound configurations."""
+        if 0 <= k <= len(self.head):
+            return list(self.head[:k])
         return list(self.ranked[:k])
 
 
@@ -133,7 +145,8 @@ class KairosPlanner:
 
         Without ``configs`` the pass ranks the budget's space, memoized per budget and
         shared read-only: every re-plan at an already-seen budget reuses one
-        enumeration (configurations and count matrix) instead of rebuilding it.
+        enumeration (configurations and count matrix) instead of rebuilding it.  Only
+        the head selection reads is sorted; the plan ranks the rest on demand.
         """
         start = time.perf_counter()
         space = list(configs) if configs is not None else self.config_space()
@@ -141,9 +154,12 @@ class KairosPlanner:
             raise ValueError(
                 f"no configuration fits the budget of {self.budget_per_hour}$/hr"
             )
-        ranked = self.estimator.rank_configs(space)
+        bounds = self.estimator.upper_bounds(space)
+        bounds.flags.writeable = False
+        k = max(self.top_k_base_check, self.top_k_similarity, 1)
+        head = tuple(ranked_pairs(space, bounds, ranking_order(bounds, k)))
         selection = select_configuration(
-            ranked,
+            head,
             top_k_base_check=self.top_k_base_check,
             top_k_similarity=self.top_k_similarity,
         )
@@ -153,9 +169,11 @@ class KairosPlanner:
             budget_per_hour=self.budget_per_hour,
             selected_config=selection.selected,
             selection=selection,
-            ranked=tuple(ranked),
+            head=head,
             search_space_size=len(space),
             planning_seconds=elapsed,
+            configs=space,
+            bounds=bounds,
         )
 
     def update_batch_samples(self, batch_samples: Sequence[int]) -> None:

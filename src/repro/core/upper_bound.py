@@ -24,7 +24,7 @@ bound more optimistic — rankings are preserved (Sec. 8.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -181,6 +181,44 @@ def _bounds_for_group(
     return values
 
 
+def ranking_order(bounds: np.ndarray, k: Optional[int] = None) -> np.ndarray:
+    """Indices of ``bounds`` by decreasing value, ties in index order.
+
+    Without ``k`` this is the stable argsort of ``-bounds``.  With ``k`` only the
+    head is ordered: every index whose bound reaches the ``k``-th largest, found by
+    a partition and then stable-sorted.  Everything left out ranks strictly below
+    the ``k``-th bound, so the head is exactly the full order's prefix, tie order
+    included, and may run past ``k`` when the ``k``-th bound is tied.
+    """
+    keys = -np.asarray(bounds, dtype=float)
+    if k is None or k >= keys.size:
+        return np.argsort(keys, kind="stable")
+    kth = np.partition(keys, k - 1)[k - 1]
+    if np.isnan(kth):  # fewer than k comparable bounds: NaNs sort last, order all
+        return np.argsort(keys, kind="stable")
+    head = np.flatnonzero(keys <= kth)
+    return head[np.argsort(keys[head], kind="stable")]
+
+
+def ranked_pairs(
+    configs: Sequence[HeterogeneousConfig], bounds: np.ndarray, order: np.ndarray
+) -> List[Tuple[HeterogeneousConfig, float]]:
+    """``(config, bound)`` pairs in ``order`` (bulk-converted: no per-element boxing)."""
+    return list(zip([configs[i] for i in order.tolist()], bounds[order].tolist()))
+
+
+class _CutoffLayout(NamedTuple):
+    """A configuration space grouped by effective cutoff ``s`` (samples play no part).
+
+    ``groups`` holds ``(s, mask, base_counts, aux_counts)`` per distinct cutoff, in
+    increasing ``s``; ``no_aux`` marks the base-only configurations.
+    """
+
+    base_counts: np.ndarray
+    no_aux: np.ndarray
+    groups: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
 class ThroughputUpperBoundEstimator:
     """Computes Eq. 15 upper bounds for arbitrary configurations of one model.
 
@@ -202,12 +240,6 @@ class ThroughputUpperBoundEstimator:
         self.profiles = profiles
         self.model = model if isinstance(model, MLModel) else profiles.models[model]
         self.catalog = catalog if catalog is not None else profiles.catalog
-        samples = np.asarray(batch_samples, dtype=int)
-        if samples.size == 0:
-            raise ValueError("batch_samples must be non-empty")
-        if np.any(samples < 1):
-            raise ValueError("batch sizes must be >= 1")
-        self._samples = samples
         self._base_name = self.catalog.base_type.name
         # cache: cutoff s -> (f, Q_b^{s+}, {type: Q_a})
         self._cache: Dict[int, Tuple[float, float, Dict[str, float]]] = {}
@@ -215,7 +247,13 @@ class ThroughputUpperBoundEstimator:
         self._cutoffs: Dict[str, int] = {
             t.name: profiles.qos_cutoff_batch(self.model, t.name) for t in self.catalog.types
         }
-        self._q_b_full = self._mean_rate(self._base_name, self._samples)
+        # per-type latency indexed by batch size (index 0 unused), grown to the largest
+        # sample seen: a rate is a gather from it instead of a profile evaluation
+        self._latency_tables: Dict[str, np.ndarray] = {}
+        self._tabulated_up_to = 0
+        # the last memoized ConfigSpace ranked, with its cutoff grouping
+        self._layout: Optional[Tuple[ConfigSpace, _CutoffLayout]] = None
+        self.update_samples(batch_samples)
 
     @classmethod
     def from_distribution(
@@ -241,15 +279,24 @@ class ThroughputUpperBoundEstimator:
         """Replace the monitored query-size window in place.
 
         Only the sample-dependent state is recomputed (the per-cutoff rate cache and
-        the base full-mix rate); the per-type QoS cutoff table depends solely on the
-        profiles and the model, so re-plans keep it instead of re-deriving every
-        cutoff from scratch the way rebuilding the estimator would.
+        the base full-mix rate).  The per-type QoS cutoffs, the latency tables and
+        the last space's cutoff grouping depend solely on the profiles, the model
+        and the space, so re-plans keep them instead of re-deriving them the way
+        rebuilding the estimator would.
         """
         samples = np.asarray(batch_samples, dtype=int)
         if samples.size == 0:
             raise ValueError("batch_samples must be non-empty")
         if np.any(samples < 1):
             raise ValueError("batch sizes must be >= 1")
+        largest = int(samples.max())
+        if largest > self._tabulated_up_to:
+            batches = np.arange(1, largest + 1)
+            for t in self.catalog.types:
+                table = np.full(largest + 1, np.nan)
+                table[1:] = self.profiles.latency_ms(self.model, t.name, batches)
+                self._latency_tables[t.name] = table
+            self._tabulated_up_to = largest
         self._samples = samples
         self._cache.clear()
         self._q_b_full = self._mean_rate(self._base_name, samples)
@@ -307,12 +354,15 @@ class ThroughputUpperBoundEstimator:
         arithmetic over per-group count vectors.  Produces bit-identical values to the
         scalar :meth:`upper_bound` — the planner's ranking is unchanged, only ~100x
         cheaper at Fig. 15a-scale spaces.  A memoized :class:`ConfigSpace` brings its
-        count matrix along, so re-ranking it skips rebuilding that matrix.
+        count matrix along, so re-ranking it skips rebuilding that matrix, and the
+        last such space's cutoff grouping is kept, since only the rates change
+        between re-plans.
         """
-        if isinstance(configs, ConfigSpace):
-            counts: Optional[np.ndarray] = configs.counts
-            same_catalog = configs.catalog is self.catalog
-            configs = configs.configs
+        space = configs if isinstance(configs, ConfigSpace) else None
+        if space is not None:
+            counts: Optional[np.ndarray] = space.counts
+            same_catalog = space.catalog is self.catalog
+            configs = space.configs
         else:
             configs = list(configs)
             counts = None
@@ -328,42 +378,48 @@ class ThroughputUpperBoundEstimator:
             # Foreign catalogs fall back to the scalar path (name-based lookups).
             return np.asarray([self.upper_bound(c) for c in configs], dtype=float)
 
-        if counts is None:
-            counts = np.asarray([c.counts for c in configs], dtype=int)
-        base_index = self.catalog.index_of(self._base_name)
-        aux_indices = [i for i in range(len(names)) if i != base_index]
-        aux_names = [names[i] for i in aux_indices]
+        if space is not None and self._layout is not None and self._layout[0] is space:
+            layout = self._layout[1]
+        else:
+            if counts is None:
+                counts = np.asarray([c.counts for c in configs], dtype=int)
+            layout = self._cutoff_layout(counts)
+            if space is not None:
+                self._layout = (space, layout)
+
         q_b = self._q_b_full
-
-        base_counts = counts[:, base_index].astype(float)
+        aux_names = [name for name in names if name != self._base_name]
         bounds = np.empty(len(configs), dtype=float)
-        if not aux_indices:
-            # Single-type catalog: every configuration is base-only.
-            bounds[:] = base_counts * q_b
-            return bounds
-
-        aux_counts = counts[:, aux_indices]
-        present = aux_counts > 0
-        cutoffs = np.asarray([self._cutoffs[name] for name in aux_names], dtype=int)
-        # effective cutoff s = max cutoff over the aux types present (-1: no aux)
-        s_values = np.where(present, cutoffs[None, :], -1).max(axis=1)
-
-        no_aux = s_values < 0
-        bounds[no_aux] = base_counts[no_aux] * q_b
-
-        for s in np.unique(s_values[~no_aux]):
-            group = s_values == s
-            f, q_b_splus, q_a_by_type = self._rates_for_cutoff(int(s))
+        bounds[layout.no_aux] = layout.base_counts[layout.no_aux] * q_b
+        for s, group, base_counts, group_counts in layout.groups:
+            f, q_b_splus, q_a_by_type = self._rates_for_cutoff(s)
             q_a = [q_a_by_type[name] for name in aux_names]
-            group_counts = aux_counts[group]
             # accumulate in catalog order, matching the scalar sum term by term
             aux_rate = np.zeros(group_counts.shape[0], dtype=float)
             for k in range(len(aux_names)):
                 aux_rate = aux_rate + group_counts[:, k] * q_a[k]
-            bounds[group] = _bounds_for_group(
-                base_counts[group], q_b, q_b_splus, aux_rate, f
-            )
+            bounds[group] = _bounds_for_group(base_counts, q_b, q_b_splus, aux_rate, f)
         return bounds
+
+    def _cutoff_layout(self, counts: np.ndarray) -> _CutoffLayout:
+        """Group a count matrix by effective cutoff ``s`` (max over the aux types present)."""
+        base_index = self.catalog.index_of(self._base_name)
+        aux_indices = [i for i in range(counts.shape[1]) if i != base_index]
+        base_counts = counts[:, base_index].astype(float)
+        if not aux_indices:
+            # Single-type catalog: every configuration is base-only.
+            return _CutoffLayout(base_counts, np.ones(len(counts), dtype=bool), ())
+        aux_counts = counts[:, aux_indices]
+        names = list(self.catalog.names)
+        cutoffs = np.asarray([self._cutoffs[names[i]] for i in aux_indices], dtype=int)
+        # effective cutoff s = max cutoff over the aux types present (-1: no aux)
+        s_values = np.where(aux_counts > 0, cutoffs[None, :], -1).max(axis=1)
+        no_aux = s_values < 0
+        groups = []
+        for s in np.unique(s_values[~no_aux]).tolist():
+            group = s_values == s
+            groups.append((s, group, base_counts[group], aux_counts[group]))
+        return _CutoffLayout(base_counts, no_aux, tuple(groups))
 
     def rank_configs(
         self, configs: ConfigSpaceLike
@@ -372,9 +428,7 @@ class ThroughputUpperBoundEstimator:
         bounds = self.upper_bounds(configs)
         if isinstance(configs, ConfigSpace):
             configs = configs.configs
-        order = np.argsort(-bounds, kind="stable")
-        values = bounds[order].tolist()  # bulk-convert: no per-element numpy boxing
-        return [(configs[i], value) for i, value in zip(order.tolist(), values)]
+        return ranked_pairs(configs, bounds, ranking_order(bounds))
 
     # -- internals ------------------------------------------------------------------------
     def _rates_for_cutoff(self, s: int) -> Tuple[float, float, Dict[str, float]]:
@@ -399,10 +453,7 @@ class ThroughputUpperBoundEstimator:
     def _mean_rate(self, type_name: str, batches: np.ndarray) -> float:
         if batches.size == 0:
             return 0.0
-        latencies = np.asarray(
-            self.profiles.latency_ms(self.model, type_name, batches), dtype=float
-        )
-        mean = float(np.mean(latencies))
+        mean = float(np.mean(self._latency_tables[type_name][batches]))
         if mean <= 0:
             raise ValueError("profiles produced non-positive latency")
         return 1000.0 / mean

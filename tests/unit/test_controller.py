@@ -1,5 +1,8 @@
 """Tests for repro.core.controller (the KairosServingSystem facade)."""
 
+from collections import deque
+
+import numpy as np
 import pytest
 
 from repro.cloud.config import HeterogeneousConfig
@@ -9,6 +12,7 @@ from repro.core.kairos import KairosPlanner
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.workload.batch_sizes import FixedBatchSizes, production_batch_distribution
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from repro.workload.query import Query
 
 
 @pytest.fixture
@@ -143,3 +147,75 @@ class TestReplanStormSharesOneSpace:
         info = _space.cache_info()
         assert info.misses == 1
         assert info.hits == len(memo)
+
+
+#: (offered qps, median batch size) per second of the reuse scenario: load changes
+#: move the budget, and the query-size mix shifts under every re-plan.
+SHIFTS = [(100, 60), (210, 40), (210, 300), (60, 120), (60, 20), (140, 500)]
+
+
+class TestPerBudgetPlannerReuse:
+    def test_reused_planners_match_fresh_ones(self, profiles):
+        generator = np.random.default_rng(8)
+        controller = ElasticKairosController(
+            "RM2",
+            2.5,
+            100.0,
+            profiles=profiles,
+            batch_distribution=production_batch_distribution(),
+            num_monitor_samples=500,
+            monitor_window=300,
+            window_ms=1_000.0,
+            cooldown_ms=0.0,
+            min_observations=1,
+            rng=generator,
+        )
+        # the initial plan and a re-plan before any arrival see an empty monitor:
+        # each draws its window from the mix
+        plans = [(2.5, None, controller.initial_plan())]
+        controller.observe_failure("r5n.large", 0.0)
+        plans.append((2.5, None, controller.maybe_replan(0.0).plan))
+        window = deque(maxlen=300)
+        sizes = np.random.default_rng(9)
+        now_ms, query_id = 0.0, 0
+
+        def arrivals(rate, median, count):
+            nonlocal now_ms, query_id
+            for b in np.clip(sizes.lognormal(np.log(median), 0.5, count), 1, 1000):
+                now_ms += 1_000.0 / rate
+                controller.observe_arrival(Query(query_id, int(b), now_ms), now_ms)
+                window.append(int(b))
+                query_id += 1
+
+        for rate, median in SHIFTS:
+            arrivals(rate, median, rate)
+            decision = controller.maybe_replan(now_ms)  # a load change, if any
+            if decision is not None:
+                plans.append((decision.budget_per_hour, list(window), decision.plan))
+            arrivals(rate, median, rate // 2)
+            controller.observe_failure("r5n.large", now_ms)  # same budget, new window
+            decision = controller.maybe_replan(now_ms)
+            plans.append((decision.budget_per_hour, list(window), decision.plan))
+
+        budgets = [budget for budget, samples, _ in plans if samples is not None]
+        assert len(set(budgets)) >= 3  # the load changes moved the budget
+        assert len(set(budgets)) < len(budgets)  # and planners were reused
+
+        reference = np.random.default_rng(8)
+        for budget, samples, plan in plans:
+            fresh = KairosPlanner(
+                "RM2",
+                budget,
+                profiles=profiles,
+                batch_samples=samples,
+                batch_distribution=production_batch_distribution(),
+                num_monitor_samples=500,
+                rng=reference,
+            ).plan()
+            assert plan.selected_config == fresh.selected_config
+            assert plan.selection.rule == fresh.selection.rule
+            assert plan.selection.candidates == fresh.selection.candidates
+            assert plan.selection.distance_sums == fresh.selection.distance_sums
+            assert plan.selected_upper_bound == fresh.selected_upper_bound
+        # the reused path draws exactly what fresh planners drew from the generator
+        assert generator.bit_generator.state == reference.bit_generator.state

@@ -7,7 +7,8 @@ pending at once.  A query tagged with a model the cluster does not serve used to
 be served silently by the single-model loops, and a scripted event naming an
 unknown instance type failed only when it fired.  Each loop now checks its
 stream and scripted events before any event fires and raises one ``ValueError``
-naming the offending item.
+naming the offending item.  A cluster, or a multi-model partition, built from an
+all-zero configuration is refused the same way, when the loop is built.
 """
 
 import numpy as np
@@ -57,16 +58,14 @@ def stream(model_name=None):
     ]
 
 
-def rm2_cluster(profiles, catalog):
-    return Cluster(
-        HeterogeneousConfig((1, 0, 3, 0), catalog), profiles.models["RM2"], profiles
-    )
+def rm2_cluster(profiles, catalog, counts=(1, 0, 3, 0)):
+    return Cluster(HeterogeneousConfig(counts, catalog), profiles.models["RM2"], profiles)
 
 
-def two_model_cluster(profiles, catalog):
+def two_model_cluster(profiles, catalog, rm2_counts=(1, 1, 2, 0)):
     return MultiModelCluster(
         {
-            "RM2": HeterogeneousConfig((1, 1, 2, 0), catalog),
+            "RM2": HeterogeneousConfig(rm2_counts, catalog),
             "WND": HeterogeneousConfig((1, 1, 2, 0), catalog),
         },
         profiles,
@@ -207,19 +206,24 @@ class TestUnknownTargets:
 
 
 LOOPS = ("static", "elastic", "spot", "multi_model", "pipeline")
+EMPTY = "cannot build a cluster from an empty configuration"
 
 
-def build_loop(loop, profiles, catalog, events):
-    """A simulation of ``loop`` whose policy fails the test if a round runs."""
+def build_loop(loop, profiles, catalog, events, empty=False):
+    """A simulation of ``loop`` whose policy fails the test if a round runs.
+
+    ``empty`` gives the (first) model an all-zero partition.
+    """
+    counts = (0, 0, 0, 0) if empty else (1, 0, 3, 0)
     if loop == "static":
-        return ServingSimulation(rm2_cluster(profiles, catalog), NeverSchedules())
+        return ServingSimulation(rm2_cluster(profiles, catalog, counts), NeverSchedules())
     if loop == "elastic":
         return ElasticServingSimulation(
-            rm2_cluster(profiles, catalog), NeverSchedules(), scripted_events=events
+            rm2_cluster(profiles, catalog, counts), NeverSchedules(), scripted_events=events
         )
     if loop == "spot":
         return PreemptibleElasticSimulation(
-            rm2_cluster(profiles, catalog),
+            rm2_cluster(profiles, catalog, counts),
             NeverSchedules(),
             market=SpotMarket.uniform(catalog, discount=0.65, preemptions_per_hour=60.0),
             spot_server_ids=[2, 3],
@@ -231,7 +235,7 @@ def build_loop(loop, profiles, catalog, events):
     else:
         simulation = PipelineServingSimulation
     return simulation(
-        two_model_cluster(profiles, catalog),
+        two_model_cluster(profiles, catalog, (0, 0, 0, 0) if empty else (1, 1, 2, 0)),
         NeverSchedulesJoint(),
         scripted_events=events,
     )
@@ -255,12 +259,14 @@ def malformed_inputs(draw):
         )
         for t in range(draw(st.integers(0, 2)) if scripted else 0)
     ]
-    flaws = ("model", "duplicate") + (("untagged",) if joint else ())
+    flaws = ("model", "duplicate", "empty") + (("untagged",) if joint else ())
     flaws += ("type", "scale") if scripted else ()
     flaws += ("untagged_scale",) if joint else ()
     flaw = draw(st.sampled_from(flaws))
     at = draw(st.integers(0, n - 1))
-    if flaw == "model":
+    if flaw == "empty":
+        match = EMPTY
+    elif flaw == "model":
         queries[at] = Query(at, 8, float(at), "NCF")
         match = f"query {at} targets model 'NCF'"
     elif flaw == "untagged":
@@ -282,15 +288,21 @@ def malformed_inputs(draw):
             Event(7.0, EventKind.SCALE_DOWN, ScaleRequest("r5n.large", 1, "", "NCF"))
         )
         match = "model 'NCF'"
-    return loop, queries, events, match
+    return loop, queries, events, flaw == "empty", match
 
 
 @settings(max_examples=60, deadline=None)
 @given(inputs=malformed_inputs())
 def test_every_malformed_input_is_named_before_any_round(inputs, profiles, catalog):
-    loop, queries, events, match = inputs
+    loop, queries, events, empty, match = inputs
     with pytest.raises(ValueError, match=match):
-        build_loop(loop, profiles, catalog, events).run(queries)
+        build_loop(loop, profiles, catalog, events, empty).run(queries)
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_an_all_zero_partition_is_rejected_by_every_loop(loop, profiles, catalog):
+    with pytest.raises(ValueError, match=EMPTY):
+        build_loop(loop, profiles, catalog, [], empty=True)
 
 
 @settings(max_examples=30, deadline=None)

@@ -125,10 +125,48 @@ def test_ab_summary_medians_ratios_and_wins():
     assert p99["ratio"][1:] == (0.8, 1.2)
     assert not p99["beyond_base_iqr"]
 
+    # 3/4 wins is short of nine tenths; no bound given, so never "worse"
+    assert qps["verdict"] == p99["verdict"] == "unresolved"
+
     table = bench.format_ab([qps, p99]).splitlines()
     assert len(table) == 3
     assert table[1].startswith("sim_qps") and "3/4" in table[1] and "yes" in table[1]
     assert "1/4" in table[2] and "(2 equal)" in table[2]
+    assert "unresolved" in table[1] and "verdict" in table[0]
+
+
+def test_ab_verdicts():
+    bench = _bench_tool()
+    metrics = [
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+        {"name": "sim_qps", "better": "higher", "bound": 0.25},
+        {"name": "served_frac", "better": "higher", "bound": 0.05},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+    ]
+    base = _runs(
+        peak_rss_mb=[130.0, 130.1, 130.2, 130.0, 130.1, 130.2, 130.0, 130.1, 130.2, 130.1],
+        sim_qps=[100.0] * 10,
+        served_frac=[1.0] * 10,
+        setup_s=[1.0, 1.1, 0.9, 1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0],
+    )
+    new = _runs(
+        # 9 of 10 pairs won, one tie: wins count against all pairs run
+        peak_rss_mb=[120.0] * 9 + [130.1],
+        sim_qps=[70.0] * 10,  # 30% slower, past the 25% bound
+        served_frac=[1.0] * 10,  # every pair tied
+        setup_s=[0.7] * 8 + [1.3, 1.3],  # 8/10 wins: short of the claim rule
+    )
+    rss, qps, served, setup = bench.ab_summary(base, new, metrics)
+    assert (rss["wins"], rss["ties"], rss["verdict"]) == (9, 1, "claimable")
+    assert qps["verdict"] == "worse"
+    assert (served["ties"], served["verdict"]) == (10, "unresolved")
+    assert (setup["wins"], setup["verdict"]) == (8, "unresolved")
+
+    # 20% slower is inside the 25% bound; a lower-is-better metric worsens upwards
+    slower = bench.ab_summary(base, _runs(sim_qps=[80.0] * 10), metrics[1:2])[0]
+    assert slower["verdict"] == "unresolved"
+    heavier = bench.ab_summary(base, _runs(peak_rss_mb=[200.0] * 10), metrics[:1])[0]
+    assert heavier["verdict"] == "worse"
 
 
 def test_ab_requires_a_workload():

@@ -10,7 +10,8 @@ import pytest
 
 from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.instances import InstanceCatalog
-from repro.core.config_space import config_space, enumerate_configs
+from repro.cloud.profiles import ProfileRegistry, TabulatedLatencyProfile
+from repro.core.config_space import ConfigSpace, _space, config_space, enumerate_configs
 from repro.core.kairos import KairosPlanner
 from repro.core.upper_bound import ThroughputUpperBoundEstimator
 from repro.workload.batch_sizes import (
@@ -116,3 +117,71 @@ class TestUpdateSamples:
         assert np.array_equal(
             planner.estimator.upper_bounds_batch(space), rebuilt.upper_bounds_batch(space)
         )
+
+
+def tabulated_registry(profiles, model):
+    """The default profiles resampled as bent piecewise-linear tables (extrapolating)."""
+    table = {}
+    for itype in profiles.catalog.types:
+        linear = profiles.profile(model, itype.name)
+        points = (1.0, 24.0, 96.0, 250.0, 640.0)
+        table[(model.name, itype.name)] = TabulatedLatencyProfile(
+            batch_points=points,
+            latency_points_ms=tuple(
+                float(linear.latency_ms(b)) * (1.0 + 0.1 * np.sin(b)) for b in points
+            ),
+        )
+    return ProfileRegistry(table, profiles.catalog, profiles.models)
+
+
+class TestEstimatorCaches:
+    @pytest.mark.parametrize("kind", ["linear", "tabulated"])
+    def test_table_gathered_rates_equal_profile_evaluation(self, profiles, rm2, kind):
+        registry = profiles if kind == "linear" else tabulated_registry(profiles, rm2)
+        rng = np.random.default_rng(5)
+        # sizes past the model's maximum grow the tables beyond the profiled range
+        first = rng.integers(1, rm2.max_batch_size // 2, size=700)
+        second = rng.integers(1, 3 * rm2.max_batch_size, size=900)
+        estimator = ThroughputUpperBoundEstimator(registry, rm2, first)
+        for samples in (first, second):
+            estimator.update_samples(samples)
+            for itype in registry.catalog.types:
+                below = samples <= estimator.cutoff_of(itype.name)
+                for batches in (samples, samples[below], samples[~below]):
+                    if batches.size == 0:
+                        continue
+                    direct = np.asarray(
+                        registry.latency_ms(rm2, itype.name, batches), dtype=float
+                    )
+                    expected = 1000.0 / float(np.mean(direct))
+                    assert estimator._mean_rate(itype.name, batches) == expected
+
+    def test_layout_cached_bounds_match_a_fresh_estimator(self, profiles, rm2, catalog):
+        space = config_space(2.5, catalog)
+        estimator = ThroughputUpperBoundEstimator(profiles, rm2, [8, 64, 300] * 40)
+        estimator.upper_bounds_batch(space)
+        for mean in (30, 250, 700):
+            samples = GaussianBatchSizes(mean=mean, std=mean / 3).sample(1500, mean)
+            estimator.update_samples(samples)
+            fresh = ThroughputUpperBoundEstimator(profiles, rm2, samples)
+            assert np.array_equal(
+                estimator.upper_bounds_batch(space), fresh.upper_bounds_batch(space)
+            )
+            scalar = np.asarray([fresh.upper_bound(c) for c in space], dtype=float)
+            assert np.array_equal(estimator.upper_bounds_batch(space), scalar)
+
+    def test_a_new_space_object_never_reuses_a_stale_layout(self, estimator, catalog):
+        space = config_space(2.5, catalog)
+        expected = np.asarray([estimator.upper_bound(c) for c in space], dtype=float)
+        assert np.array_equal(estimator.upper_bounds_batch(space), expected)
+        # same length, rows reversed: a layout reused by size or shape would misgroup
+        reversed_space = ConfigSpace(
+            catalog, tuple(reversed(space.configs)), space.counts[::-1].copy()
+        )
+        assert np.array_equal(estimator.upper_bounds_batch(reversed_space), expected[::-1])
+        # the memo evicts and re-enumerates: an equal space in a new object
+        _space.cache_clear()
+        again = config_space(2.5, catalog)
+        assert again is not space
+        assert np.array_equal(estimator.upper_bounds_batch(again), expected)
+        assert np.array_equal(estimator.upper_bounds_batch(space), expected)

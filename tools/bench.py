@@ -24,13 +24,22 @@ run exit non-zero — that comparison is the ``bench-smoke`` stage of ``tools/ci
 Results from presets that were not run are carried over from the committed file, so a
 ``--quick`` CI run never erases the committed ``full`` numbers.
 
-``--ab`` compares instead of gating.  It checks ``<rev>`` out into a temporary
-``git worktree`` (removed on exit) and alternates ``perfbench/run.py`` runs of one
-workload between that checkout and the working tree, switching which side goes
-first every pair, so host drift lands on both sides alike.  Per end-to-end metric
-of ``BENCHMARK.json`` it prints each side's median and quartiles, the median
-per-pair ratio (working tree over base) with its min-max, and how many pairs the
-working tree won; every run's unscaled rate is printed as it finishes.
+``--ab`` compares instead of gating.  It exports ``<rev>`` into a temporary
+directory (``git archive``, removed on exit) and alternates ``perfbench/run.py``
+runs of one workload between that copy and the working tree, switching which side
+goes first every pair, so host drift lands on both sides alike.  Per end-to-end
+metric of ``BENCHMARK.json`` it prints each side's median and quartiles, the median
+per-pair ratio (working tree over base) with its min-max, how many pairs the
+working tree won, and a verdict:
+
+* ``claimable``: the working tree's median is better, it won at least nine tenths
+  of the pairs (ties count for neither side), and the medians differ by more than
+  the base's quartile spread;
+* ``worse``: the working tree's median is past the metric's ``bound`` (a fraction
+  of the base median) in the bad direction;
+* ``unresolved``: anything else.
+
+Every run's unscaled rate is printed as it finishes.
 """
 
 from __future__ import annotations
@@ -66,6 +75,19 @@ def _quartiles(values):
     return float(q1), float(median), float(q3)
 
 
+def verdict(row, higher: bool, bound) -> str:
+    """``claimable``, ``worse`` or ``unresolved`` for one :func:`ab_summary` row."""
+    base, new = row["base"][1], row["new"][1]
+    if bound is not None:
+        limit = base * (1.0 - bound) if higher else base * (1.0 + bound)
+        if (new < limit) if higher else (new > limit):
+            return "worse"
+    better = new > base if higher else new < base
+    if better and 10 * row["wins"] >= 9 * row["pairs"] and row["beyond_base_iqr"]:
+        return "claimable"
+    return "unresolved"
+
+
 def ab_summary(base_runs, new_runs, metrics):
     """Per-metric comparison of paired runs (``base_runs[i]`` pairs ``new_runs[i]``).
 
@@ -82,26 +104,26 @@ def ab_summary(base_runs, new_runs, metrics):
         higher = spec["better"] == "higher"
         wins = sum(1 for b, n in zip(base, new) if (n > b if higher else n < b))
         base_q, new_q = _quartiles(base), _quartiles(new)
-        rows.append(
-            {
-                "metric": name,
-                "base": base_q,
-                "new": new_q,
-                "ratio": (_quartiles(ratios)[1], min(ratios), max(ratios)),
-                "wins": wins,
-                "ties": sum(1 for b, n in zip(base, new) if n == b),
-                "pairs": len(base),
-                # the claim rule: medians further apart than the base's spread
-                "beyond_base_iqr": abs(new_q[1] - base_q[1]) > base_q[2] - base_q[0],
-            }
-        )
+        row = {
+            "metric": name,
+            "base": base_q,
+            "new": new_q,
+            "ratio": (_quartiles(ratios)[1], min(ratios), max(ratios)),
+            "wins": wins,
+            "ties": sum(1 for b, n in zip(base, new) if n == b),
+            "pairs": len(base),
+            # the claim rule: medians further apart than the base's spread
+            "beyond_base_iqr": abs(new_q[1] - base_q[1]) > base_q[2] - base_q[0],
+        }
+        row["verdict"] = verdict(row, higher, spec.get("bound"))
+        rows.append(row)
     return rows
 
 
 def format_ab(rows) -> str:
     lines = [
         f"{'metric':<16} {'base median [q1, q3]':>34} {'new median [q1, q3]':>34} "
-        f"{'ratio (min-max)':>24} {'wins':>6}  |dmedian| > base IQR"
+        f"{'ratio (min-max)':>24} {'wins':>6}  {'verdict':<10}  |dmedian| > base IQR"
     ]
     for row in rows:
         sides = [
@@ -112,7 +134,7 @@ def format_ab(rows) -> str:
         lines.append(
             f"{row['metric']:<16} {sides[0]:>34} {sides[1]:>34} "
             f"{f'{ratio:.3f}x ({low:.3f}-{high:.3f})':>24} "
-            f"{row['wins']:>3}/{row['pairs']:<2}  "
+            f"{row['wins']:>3}/{row['pairs']:<2}  {row['verdict']:<10}  "
             f"{'yes' if row['beyond_base_iqr'] else 'no'}{ties}"
         )
     return "\n".join(lines)
@@ -150,30 +172,28 @@ def run_ab(rev: str, workload: str, seed: int, pairs: int) -> int:
     print(f"A/B {workload} seed {seed}: {rev} ({sha}) vs the working tree, {pairs} pairs")
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         base_tree = Path(tmp) / "base"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", "--quiet", str(base_tree), rev],
-            cwd=REPO_ROOT,
-            check=True,
+        base_tree.mkdir()
+        # an exported copy, not a worktree: the repository's git state is untouched
+        archive = subprocess.run(
+            ["git", "archive", sha], cwd=REPO_ROOT, capture_output=True, check=True
         )
-        try:
-            runs = {"base": [], "new": []}
-            for pair in range(pairs):
-                order = ("base", "new") if pair % 2 == 0 else ("new", "base")
-                for side in order:
-                    tree = base_tree if side == "base" else REPO_ROOT
-                    metrics, unscaled = _bench_run(tree, workload, seed)
-                    runs[side].append(metrics)
-                    print(
-                        f"  pair {pair + 1:>2}/{pairs} {side:<4} "
-                        f"sim_qps {metrics['sim_qps']['value']:>10.1f}  "
-                        f"unscaled {unscaled:>10.1f} queries/host-s",
-                        flush=True,
-                    )
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(base_tree)], cwd=REPO_ROOT
-            )
-            subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT)
+        subprocess.run(
+            ["tar", "-x", "-C", str(base_tree)], input=archive.stdout, check=True
+        )
+        runs = {"base": [], "new": []}
+        for pair in range(pairs):
+            order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+            for side in order:
+                tree = base_tree if side == "base" else REPO_ROOT
+                metrics, unscaled = _bench_run(tree, workload, seed)
+                runs[side].append(metrics)
+                print(
+                    f"  pair {pair + 1:>2}/{pairs} {side:<4} "
+                    f"sim_qps {metrics['sim_qps']['value']:>10.1f}  "
+                    f"peak_rss_mb {metrics['peak_rss_mb']['value']:>7.1f}  "
+                    f"unscaled {unscaled:>10.1f} queries/host-s",
+                    flush=True,
+                )
     print(format_ab(ab_summary(runs["base"], runs["new"], spec["end_to_end"])))
     return 0
 
