@@ -31,12 +31,15 @@ rounds have some server with a queued dispatch, and nine in ten rounds have one
 pending query, so those rounds score the full layout (skipping blocks with no
 eligible server, setting ineligible columns to ``+inf`` before the first-minimum
 argmin) — the same decision, estimator calls and RNG stream as the round over the
-eligible servers.  Multi-row rounds still match over a gathered eligible view,
-since penalty columns in the matrix would join the matching and change its
-tie-breaks.  The shared public assembly cores (:func:`assemble_cost_matrix` /
-:func:`assemble_multi_model`) guarantee the incremental path is element-wise
-identical to the from-scratch builders (locked down by the golden and fast-path
-suites).
+eligible servers.  A multi-row round with exactly one eligible server is the
+transposed degenerate shape: its matching picks the first-minimum row of one
+column, which the policy scores directly against that server
+(:meth:`RoundColumnState.sole_eligible`).  Other multi-row rounds match over a
+gathered eligible view, since penalty columns in the matrix would join the
+matching and change its tie-breaks.  The shared public assembly cores
+(:func:`assemble_cost_matrix` / :func:`assemble_multi_model`) guarantee the
+incremental path is element-wise identical to the from-scratch builders (locked
+down by the golden and fast-path suites).
 """
 
 from __future__ import annotations
@@ -129,11 +132,7 @@ def assemble_cost_matrix(
     usage = np.empty((m, n), dtype=float)
     weights = np.empty(n, dtype=float)
     for type_name, cols in groups:
-        if type_name not in coefficients:
-            raise KeyError(f"no heterogeneity coefficient for instance type {type_name!r}")
-        coefficient = coefficients[type_name]
-        if coefficient <= 0:
-            raise ValueError("heterogeneity coefficients must be positive")
+        coefficient = checked_coefficient(coefficients, type_name)
         predicted = np.asarray(
             estimator.predict_many_ms(type_name, batches), dtype=float
         )
@@ -154,6 +153,16 @@ def assemble_cost_matrix(
         query_ids=tuple(q.query_id for q in queries),
         server_ids=server_ids,
     )
+
+
+def checked_coefficient(coefficients: Mapping[str, float], type_name: str) -> float:
+    """``C_j`` of ``type_name``; ``KeyError`` when missing, ``ValueError`` unless > 0."""
+    if type_name not in coefficients:
+        raise KeyError(f"no heterogeneity coefficient for instance type {type_name!r}")
+    coefficient = coefficients[type_name]
+    if coefficient <= 0:
+        raise ValueError("heterogeneity coefficients must be positive")
+    return coefficient
 
 
 def _row_arrays(queries: Sequence[Query], now_ms: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -293,7 +302,8 @@ class RoundColumnState:
     persistent :attr:`ineligible` mask and the per-group :attr:`eligible_counts`, so
     a round with queued dispatches costs nothing beyond the transitions themselves.
     Single-query rounds score the full layout and mask the ineligible columns;
-    multi-row rounds ask :meth:`eligible_view` for the filtered view, whose group
+    multi-row rounds with one eligible server read it from :meth:`sole_eligible`;
+    other multi-row rounds ask :meth:`eligible_view` for the filtered view, whose group
     structure preserves first-occurrence order (and :meth:`call_order` gives the
     same order over the full layout's groups), so estimator call order — and
     therefore any stochastic estimator's RNG stream — is identical to the
@@ -371,6 +381,20 @@ class RoundColumnState:
     def masked(self) -> bool:
         """True when at least one server is ineligible this round."""
         return self._over_depth > 0
+
+    @property
+    def eligible_count(self) -> int:
+        """Eligible servers as of the last :meth:`refresh`."""
+        return self._n - self._over_depth
+
+    def sole_eligible(self) -> Tuple[int, object]:
+        """The full-layout index and group key of the one eligible server.
+
+        Meaningful only when :attr:`eligible_count` is 1: the index is then the
+        mask's first (and only) clear bit.
+        """
+        k = int(self.ineligible.argmin())
+        return k, self._keys[k]
 
     def refresh(self, now_ms: float) -> Optional[RoundColumns]:
         """The full-layout view at ``now_ms``; ``None`` when nothing is eligible.

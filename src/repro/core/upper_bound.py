@@ -207,6 +207,10 @@ def ranked_pairs(
     return list(zip([configs[i] for i in order.tolist()], bounds[order].tolist()))
 
 
+#: Cutoff layouts one estimator keeps: a mixed plan ranks two spaces per call.
+_LAYOUT_SLOTS = 2
+
+
 class _CutoffLayout(NamedTuple):
     """A configuration space grouped by effective cutoff ``s`` (samples play no part).
 
@@ -251,8 +255,9 @@ class ThroughputUpperBoundEstimator:
         # sample seen: a rate is a gather from it instead of a profile evaluation
         self._latency_tables: Dict[str, np.ndarray] = {}
         self._tabulated_up_to = 0
-        # the last memoized ConfigSpace ranked, with its cutoff grouping
-        self._layout: Optional[Tuple[ConfigSpace, _CutoffLayout]] = None
+        # the last _LAYOUT_SLOTS memoized ConfigSpaces ranked, with their cutoff
+        # groupings, keyed on identity (the strong reference keeps an id in use)
+        self._layouts: Dict[int, Tuple[ConfigSpace, _CutoffLayout]] = {}
         self.update_samples(batch_samples)
 
     @classmethod
@@ -378,14 +383,17 @@ class ThroughputUpperBoundEstimator:
             # Foreign catalogs fall back to the scalar path (name-based lookups).
             return np.asarray([self.upper_bound(c) for c in configs], dtype=float)
 
-        if space is not None and self._layout is not None and self._layout[0] is space:
-            layout = self._layout[1]
+        cached = self._layouts.get(id(space)) if space is not None else None
+        if cached is not None:
+            layout = cached[1]
         else:
             if counts is None:
                 counts = np.asarray([c.counts for c in configs], dtype=int)
             layout = self._cutoff_layout(counts)
             if space is not None:
-                self._layout = (space, layout)
+                if len(self._layouts) >= _LAYOUT_SLOTS:
+                    del self._layouts[next(iter(self._layouts))]  # the oldest
+                self._layouts[id(space)] = (space, layout)
 
         q_b = self._q_b_full
         aux_names = [name for name in names if name != self._base_name]

@@ -20,7 +20,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import cost_matrix as cost_matrix_lib
-from repro.core.cost_matrix import RoundColumnState, resolve_query_models
+from repro.core.cost_matrix import (
+    RoundColumnState,
+    checked_coefficient,
+    resolve_query_models,
+)
 from repro.core.distributor import QueryDistributor
 from repro.core.heterogeneity import heterogeneity_coefficients
 from repro.core.latency_model import (
@@ -231,6 +235,53 @@ class _SingleQueryScorer:
         return [(query, columns.indices[col])]
 
 
+def _single_server_decisions(
+    distributor: QueryDistributor,
+    considered: Sequence[Query],
+    batches: np.ndarray,
+    waits: np.ndarray,
+    offsets: np.ndarray,
+    columns_state: RoundColumnState,
+    defer: bool,
+    now_ms: float,
+) -> List[Decision]:
+    """Multi-row rounds with one eligible server, without matrix or solver.
+
+    The transposed degenerate shape of :class:`_SingleQueryScorer`: an m x 1
+    matching picks the first-minimum row of one column (every round solver does,
+    pinned by the solver property tests).  The column is the matrix path's
+    per-element operations over the one server — ``offset + prediction``, the Eq. 3
+    fold against ``qos_headroom * qos + 1e-9``, the Eq. 8 penalty and the Eq. 2
+    weight — from one ``predict_many_ms`` call on the capped batch vector, so the
+    decision, the estimator traffic and a stochastic estimator's RNG stream equal
+    the matrix round's.
+    """
+    index, type_name = columns_state.sole_eligible()
+    coefficient = checked_coefficient(distributor.coefficients, type_name)
+    predicted = np.asarray(
+        distributor.estimator.predict_many_ms(type_name, batches), dtype=float
+    )
+    qos_ms = distributor.qos_ms
+    usage = offsets[index] + predicted
+    feasible = (usage + waits) <= distributor.qos_headroom * qos_ms + 1e-9
+    weighted = np.where(feasible, usage, distributor.penalty_factor * qos_ms) * coefficient
+    if not np.isfinite(weighted).all():
+        raise ValueError(
+            "cost matrix must be finite; encode forbidden pairs as large penalties"
+        )
+    row = int(weighted.argmin())
+    query = considered[row]
+    if defer and not feasible[row] and not _is_hopeless(
+        distributor.estimator,
+        distributor.qos_headroom * qos_ms,
+        query,
+        columns_state.unique_keys(),
+        now_ms,
+    ):
+        return []
+    return [(query, index)]
+
+
 class KairosPolicy(SchedulingPolicy):
     """The Kairos central controller's scheduling behaviour.
 
@@ -385,10 +436,23 @@ class KairosPolicy(SchedulingPolicy):
         considered, batches, arrivals = _round_rows(
             pending, self._distributor.max_queries_per_round
         )
-        # Masked penalty columns would join the matching and change its
-        # tie-breaks, so multi-row rounds match over the gathered eligible view.
-        columns = columns_state.eligible_view()
         waits = np.maximum(now_ms - arrivals, 0.0)
+        if columns_state.eligible_count == 1:
+            # near capacity most multi-row rounds have one free instance: which
+            # query takes it is a one-column argmin, scored without matrix or solver
+            return _single_server_decisions(
+                self._distributor,
+                considered,
+                batches,
+                waits,
+                columns.offsets,
+                columns_state,
+                self._defer_violations,
+                now_ms,
+            )
+        # Masked penalty columns would join the matching and change its
+        # tie-breaks, so wider multi-row rounds match over the gathered eligible view.
+        columns = columns_state.eligible_view()
         round_result = self._distributor.distribute_prepared(
             considered, batches, waits, columns
         )
@@ -633,7 +697,8 @@ class MultiModelKairosPolicy(SchedulingPolicy):
                 now_ms,
             )
         considered, batches, arrivals = _round_rows(pending, self._max_queries_per_round)
-        # multi-row rounds match over the gathered eligible view (see KairosPolicy)
+        # multi-row rounds match over the gathered eligible view (see KairosPolicy;
+        # joint rounds keep the matrix even with one eligible server)
         columns = columns_state.eligible_view()
         eligible_indices = columns.indices
         waits = np.maximum(now_ms - arrivals, 0.0)

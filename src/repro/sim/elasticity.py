@@ -423,6 +423,9 @@ class ElasticServingSimulation:
         self.policy.bind(view, self.qos_ms)
         max_steps = step_budget(n, self.retry)
         steps = 0
+        # fixed for the run: every input (faults, retry, monitor, hedges, a
+        # subclass's market) is set at construction
+        idle_kinds = frozenset(self._idle_timer_kinds())
 
         while events:
             steps += 1
@@ -494,7 +497,7 @@ class ElasticServingSimulation:
             if (
                 pending
                 and not self._zombie_attempts
-                and (not events or events.only_kinds(self._idle_timer_kinds()))
+                and (not events or events.only_kinds(idle_kinds))
             ):
                 break
 

@@ -5,7 +5,7 @@
 * Within every class of identical columns (identical rows when ``m > n``) the
   matched columns are the class's lowest-index ones, dealt to its rows in
   ascending row order.
-* A single row or column takes the first minimum.
+* A single row or column takes the first minimum, under every solver method.
 * A joint multi-model round commits what per-model (sharded) solves commit on
   uncontended, all-feasible rounds.
 * Every multi-row round of the regression corpus and of the three benchmark
@@ -32,7 +32,7 @@ from repro.fuzz.runner import run_scenario
 from repro.fuzz.spec import ScenarioSpec
 from repro.schedulers.kairos_policy import MultiModelKairosPolicy
 from repro.sim.cluster import MultiModelCluster
-from repro.solvers.assignment import canonical_assignment, round_solver
+from repro.solvers.assignment import available_methods, canonical_assignment, round_solver
 from repro.workload.query import Query
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -134,28 +134,44 @@ def test_identical_classes_are_dealt_lowest_index_first(cost):
     assert_canonical(cost, rows, cols)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    cost=hnp.arrays(
-        np.float64,
-        st.one_of(
-            st.tuples(st.just(1), st.integers(1, 12)),
-            st.tuples(st.integers(1, 12), st.just(1)),
-        ),
-        elements=st.integers(0, 3).map(float),
-    )
+#: Tie-heavy one-row and one-column matrices (Eq. 8 penalty plateaus included).
+degenerate_matrices = hnp.arrays(
+    np.float64,
+    st.one_of(
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.just(1)),
+    ),
+    elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, 3_500.0]),
 )
+
+
+def assert_first_minimum(cost, rows, cols):
+    first = int(np.argmin(cost.ravel()))
+    if cost.shape[0] == 1:
+        assert rows.tolist() == [0] and cols.tolist() == [first]
+    else:
+        assert rows.tolist() == [first] and cols.tolist() == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cost=degenerate_matrices)
 def test_degenerate_shapes_take_the_first_minimum(cost):
-    # the fast path answers without scipy's solver (most churn solves are one column)
+    # the fast path answers without scipy's solver
     scipy_solver = mock.patch.object(
         assignment, "linear_sum_assignment", side_effect=AssertionError
     )
     with scipy_solver:
         rows, cols = canonical_assignment(cost)
-    if cost.shape[0] == 1:
-        assert rows.tolist() == [0] and cols.tolist() == [int(np.argmin(cost[0]))]
-    else:
-        assert rows.tolist() == [int(np.argmin(cost[:, 0]))] and cols.tolist() == [0]
+    assert_first_minimum(cost, rows, cols)
+
+
+@pytest.mark.parametrize("method", available_methods())
+@settings(max_examples=40, deadline=None)
+@given(cost=degenerate_matrices)
+def test_every_solver_takes_the_first_minimum_on_degenerate_shapes(method, cost):
+    """The policies' matrix-free scorers answer one-query (1 x n) and one-server
+    (m x 1) rounds with the first minimum, whichever solver is configured."""
+    assert_first_minimum(cost, *round_solver(method)(cost))
 
 
 def test_every_exact_method_name_is_the_canonical_solver():

@@ -617,6 +617,9 @@ class TestEligibilityMask:
             assert view is full  # one stable full-layout object per bind
             assert np.array_equal(state.ineligible, depths > 1)
             assert state.masked == bool((depths > 1).any())
+            assert state.eligible_count == eligible.size
+            if eligible.size == 1:
+                assert state.sole_eligible() == (int(eligible[0]), keys[eligible[0]])
             assert state.eligible_counts == [
                 int((depths[np.arange(len(servers))[cols]] <= 1).sum())
                 for _, cols in full_groups
@@ -874,6 +877,173 @@ class TestSharedScorerExactness:
                 _check_estimator_traffic(kind, estimators[name], references[name])
             outcomes[(bool((depths > 1).any()), bool(got))] += 1
         assert outcomes[(True, True)] and outcomes[(True, False)]
+
+
+# ---------------------------------------------------------------------------------------
+# Multi-row rounds with one eligible server: a one-column argmin, no matrix or solver
+# ---------------------------------------------------------------------------------------
+
+
+def reference_matrix_round(distributor, state, queries, now_ms, qos_ms):
+    """The gathered-view round: ``distribute_prepared`` over
+    :meth:`RoundColumnState.eligible_view`, then the defer/hopeless rule.
+
+    Returns ``([(query_id, server index)], outcome)``, the outcome naming what the
+    matching's pick led to: ``"feasible"``, ``"deferred"``, ``"hopeless"``
+    (dispatched although infeasible) or ``"none"`` (nothing eligible).
+    """
+    if state.refresh(now_ms) is None:
+        return [], "none"
+    considered = queries[: distributor.max_queries_per_round]
+    batches = np.asarray([q.batch_size for q in considered], dtype=int)
+    waits = np.asarray([q.waiting_time_ms(now_ms) for q in considered], dtype=float)
+    view = state.eligible_view()
+    result = distributor.distribute_prepared(considered, batches, waits, view)
+    decisions, outcome = [], "feasible"
+    for assignment in result.assignments:
+        if not assignment.predicted_feasible:
+            if not _hopeless(
+                assignment.query, state.unique_keys(), distributor.estimator, now_ms, qos_ms
+            ):
+                outcome = "deferred"
+                continue
+            outcome = "hopeless"
+        decisions.append((assignment.query.query_id, view.indices[assignment.server_index]))
+    return decisions, outcome
+
+
+def _one_eligible_depths(rng, n):
+    """Queue depths leaving exactly one server eligible (depth 0 or 1)."""
+    depths = rng.choice([2, 3], size=n)
+    depths[int(rng.integers(n))] = int(rng.integers(2))
+    return depths
+
+
+def _tied_backlog(rng, first_id, now_ms, qos_ms):
+    """2-100 pending queries (past the 64-row cap at times) in arrival order.
+
+    Batches come from a few sizes and arrivals repeat, so many rows tie exactly;
+    waits reach past the QoS target, so rows are feasible, deferred or hopeless.
+    A third of the backlogs hold only short-waiting maximum batches, which only
+    the base type serves in time: on an auxiliary instance every row defers.
+    """
+    m = int(rng.choice([2, 3, 9, 64, 65, 100]))
+    if rng.random() < 0.3:
+        batches, spread = np.full(m, 1000), 0.3 * qos_ms
+    else:
+        batches, spread = rng.choice([1, 64, 64, 400, 1000], size=m), 1.3 * qos_ms
+    arrivals = np.sort(now_ms - rng.choice(rng.uniform(0.0, spread, size=4), size=m))
+    return [
+        Query(first_id + i, int(b), float(t))
+        for i, (b, t) in enumerate(zip(batches, arrivals))
+    ]
+
+
+class TestSingleServerRounds:
+    """A multi-row round with one eligible server scores the capped rows against
+    that one column; its decision, estimator calls and RNG stream must equal the
+    gathered-view matrix round's."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "non_contiguous"])
+    @pytest.mark.parametrize("kind", ["noisy", "perfect"])
+    def test_random_backlogs_match_the_matrix_round(
+        self, profiles, rm2, catalog, kind, layout
+    ):
+        from repro.core.cost_matrix import RoundColumnState
+        from repro.core.distributor import QueryDistributor
+
+        if layout == "contiguous":
+            cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        else:
+            cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        estimator = _scorer_estimator(kind, profiles, rm2, 7)
+        policy = KairosPolicy(estimator=estimator, coefficient_refresh_interval=10**9)
+        policy.bind(cluster, rm2.qos_ms)
+        estimator.calls.clear()
+        twin = _twin(estimator) if kind == "noisy" else RecordingEstimator(estimator.inner)
+        reference = QueryDistributor(twin, policy.coefficients, rm2.qos_ms)
+        state = RoundColumnState(cluster.servers)
+        matrix_rounds = Counter()
+        distribute = policy._distributor.distribute_prepared
+
+        def counting_distribute(*args):
+            matrix_rounds["policy"] += 1
+            return distribute(*args)
+
+        policy._distributor.distribute_prepared = counting_distribute
+        rng = np.random.default_rng(17)
+        now_ms, next_id = 1000.0, 0
+        outcomes = Counter()
+        for _ in range(240):
+            now_ms += float(rng.uniform(0.5, 15.0))
+            shape = rng.random()
+            if shape < 0.8:
+                depths = _one_eligible_depths(rng, len(cluster))
+            else:  # a wider round, or none eligible
+                depths = rng.choice([0, 1, 2] if shape < 0.9 else [2, 3], size=len(cluster))
+            _apply_depths(cluster.servers, depths, now_ms, rng)
+            queries = _tied_backlog(rng, next_id, now_ms, rm2.qos_ms)
+            next_id += len(queries)
+            before = matrix_rounds["policy"]
+            got = [(q.query_id, j) for q, j in policy.schedule(now_ms, queries, cluster)]
+            want, outcome = reference_matrix_round(
+                reference, state, queries, now_ms, rm2.qos_ms
+            )
+            assert got == want
+            assert estimator.calls == twin.calls
+            if kind == "noisy":
+                assert _rng_state(estimator) == _rng_state(twin)
+            estimator.calls.clear()
+            twin.calls.clear()
+            if int((depths <= 1).sum()) == 1:
+                assert matrix_rounds["policy"] == before  # no matrix was built
+                outcomes[(outcome, len(queries) > 64)] += 1
+        # non-vacuous: every outcome occurs, with and without the 64-row cap
+        for outcome in ("feasible", "deferred", "hopeless"):
+            assert outcomes[(outcome, False)] and outcomes[(outcome, True)], outcomes
+
+    def test_tied_rows_take_the_first_minimum(self, profiles, rm2, catalog):
+        cluster = _non_contiguous_cluster(profiles, rm2, catalog)
+        policy = KairosPolicy(
+            PerfectLatencyEstimator(profiles, rm2), coefficient_refresh_interval=10**9
+        )
+        policy.bind(cluster, rm2.qos_ms)
+        depths = np.asarray([2, 2, 3, 2, 2, 0])  # the appended r5n.large
+        _apply_depths(cluster.servers, depths, 50.0, np.random.default_rng(0))
+        # rows 1-3 tie on the column's minimum (same batch, all feasible)
+        queries = [Query(0, 300, 50.0)] + [Query(k, 8, 50.0) for k in range(1, 4)]
+        assert [(q.query_id, j) for q, j in policy.schedule(50.0, queries, cluster)] == [
+            (1, 5)
+        ]
+
+    def test_coefficient_and_cost_checks_are_kept(self, profiles, rm2, catalog):
+        from repro.core.cost_matrix import RoundColumnState
+        from repro.core.distributor import QueryDistributor
+
+        cluster = Cluster(HeterogeneousConfig((3, 2, 4, 0), catalog), rm2, profiles)
+        estimator = PerfectLatencyEstimator(profiles, rm2)
+        policy = KairosPolicy(estimator, coefficient_refresh_interval=10**9)
+        policy.bind(cluster, rm2.qos_ms)
+        depths = np.asarray([2, 2, 2, 2, 1, 2, 2, 2, 2])  # one c5n.2xlarge
+        _apply_depths(cluster.servers, depths, 50.0, np.random.default_rng(0))
+        queries = [Query(k, 10 + 90 * k, 40.0) for k in range(3)]
+        coefficients = policy._distributor.coefficients
+        # an infinite weight makes the column non-finite: the solver's error
+        coefficients["c5n.2xlarge"] = np.inf
+        reference = QueryDistributor(estimator, coefficients, rm2.qos_ms)
+        state = RoundColumnState(cluster.servers)
+        for round_ in (
+            lambda: policy.schedule(50.0, queries, cluster),
+            lambda: reference_matrix_round(reference, state, queries, 50.0, rm2.qos_ms),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                round_()
+        coefficients["c5n.2xlarge"] = 0.0
+        with pytest.raises(ValueError, match="positive"):
+            policy.schedule(50.0, queries, cluster)
+        del coefficients["c5n.2xlarge"]
+        with pytest.raises(KeyError, match="c5n.2xlarge"):
+            policy.schedule(50.0, queries, cluster)
 
 
 def _estimator_factories(profiles, rm2):

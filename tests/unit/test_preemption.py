@@ -286,6 +286,37 @@ class TestNaturalPreemptions:
         # discounted spot capacity can only make the same window cheaper
         assert spotted.total_cost() < baseline.total_cost()
 
+    def test_declined_backlog_ends_with_reclaim_timers_queued(
+        self, profiles, rm2, catalog, monkeypatch
+    ):
+        """The loop reads its idle-timer kinds once per run, and the spot loop's
+        widening still applies: with only reclaim timers left, a backlog the policy
+        declines ends the run instead of cycling preemptions to the step guard."""
+        calls = []
+        idle_timer_kinds = PreemptibleElasticSimulation._idle_timer_kinds
+
+        def counting(sim):
+            calls.append(sim)
+            return idle_timer_kinds(sim)
+
+        monkeypatch.setattr(PreemptibleElasticSimulation, "_idle_timer_kinds", counting)
+
+        class Declining(KairosPolicy):
+            def schedule(self, now_ms, pending, cluster):
+                return []
+
+        report = simulate_preemptible_serving(
+            Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles),
+            Declining(),
+            _queries(num=40, rate=50.0, median=30),
+            market=_market(catalog, hazard=120.0, warning_ms=20.0),
+            spot_server_ids=[1, 2],
+            rng=np.random.default_rng(SEED),
+            market_rng=np.random.default_rng(SEED + 5),
+        )
+        assert not report.completed_all
+        assert len(calls) == 1
+
     def test_a_server_is_never_warned_twice(self, profiles, rm2, catalog):
         """Overlapping reclaim sources (two bursts, or a burst racing a natural
         timer) must produce one warning, one kill, one log entry per instance."""

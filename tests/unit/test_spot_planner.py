@@ -131,6 +131,38 @@ class TestPlanMixed:
         assert stormy.spot_cost_per_hour <= calm.spot_cost_per_hour + 1e-9
         assert stormy.ondemand_cost_per_hour >= calm.ondemand_cost_per_hour - 1e-9
 
+    def test_both_spaces_keep_their_cutoff_layouts(self, profiles, monkeypatch):
+        """Each call ranks the on-demand and then the spot space through one
+        estimator: both groupings stay cached, and the bounds match a fresh one."""
+        planner = make_planner(profiles, market=_market())
+        estimator = planner.estimator
+        builds = []
+        build_layout = estimator._cutoff_layout
+
+        def counting_layout(counts):
+            builds.append(len(counts))
+            return build_layout(counts)
+
+        ranked = []
+        rank = estimator.upper_bounds_batch
+
+        def recording_rank(space):
+            bounds = rank(space)
+            ranked.append((space, bounds))
+            return bounds
+
+        monkeypatch.setattr(estimator, "_cutoff_layout", counting_layout)
+        monkeypatch.setattr(estimator, "upper_bounds_batch", recording_rank)
+        targets = (20.0, 60.0, 100.0, 60.0, 150.0)
+        plans = [planner.plan_mixed(target) for target in targets]
+        assert len(ranked) == 10
+        assert len(builds) == 2
+        fresh = make_planner(profiles, market=_market())
+        for space, bounds in ranked:
+            assert np.array_equal(bounds, fresh.estimator.upper_bounds_batch(space))
+        for target, plan in zip(targets, plans):
+            assert fresh.plan_mixed(target).allocation == plan.allocation
+
     def test_infeasible_demand_degrades_to_best_effort(self, profiles):
         plan = make_planner(profiles, market=_market()).plan_mixed(100_000.0)
         assert not plan.demand_met

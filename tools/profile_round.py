@@ -3,10 +3,10 @@
 
 Runs the same seeded scenario as the ``serving_sim`` / ``multi_model_sim`` perf
 benchmarks with lightweight timers around the round's phases — column refresh, row
-snapshot, matrix build, assignment solve, the single-query scorer, latency
-prediction, and dispatch commit — then prints cumulative wall time, share of the run,
-and per-round cost for each phase.  Use it to locate the next perf lever without
-ad-hoc profiling::
+snapshot, matrix build, assignment solve, the single-query and single-server
+scorers, latency prediction, and dispatch commit — then prints cumulative wall
+time, share of the run, and per-round cost for each phase.  Use it to locate the
+next perf lever without ad-hoc profiling::
 
     python tools/profile_round.py                      # serving, quick preset
     python tools/profile_round.py --preset full
@@ -14,7 +14,7 @@ ad-hoc profiling::
     python tools/profile_round.py --scenario pipeline  # the benchmark's burst workload
 
 Phases overlap where the code nests (latency prediction runs inside the matrix build
-and the single-query scorer; both run inside "policy schedule"), so shares do not
+and the two scorers; all three run inside "policy schedule"), so shares do not
 sum to 100% — each row answers "how much of the run is spent under this seam".
 """
 
@@ -80,6 +80,7 @@ def _instrument():
     seam("matrix build (assemble)", cost_matrix, "assemble_cost_matrix")
     seam("matrix build (joint assemble)", cost_matrix, "assemble_multi_model")
     seam("single-query scorer", kairos_policy._SingleQueryScorer, "decide")
+    seam("single-server scorer", kairos_policy, "_single_server_decisions")
     # policies and distributors take their solver from ``round_solver`` at
     # construction, so wrapping what it returns times every round's solve
     solve_timer = PhaseTimer("assignment solve (round solver)")
