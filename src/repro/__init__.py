@@ -67,9 +67,9 @@ round.  Data flows through the same four layers::
         v
     repro.sim.cluster                MultiModelCluster / MultiModelClusterView
         |                            per-model partitions over one global server-id
-        |   space; repro.sim.multi_model.MultiModelServingSimulation drives the
-        |   joint event loop (per-model QoS metrics, model-tagged billing, scale
-        |   events addressed to model partitions)
+        |   space; repro.sim.multi_model.MultiModelServingSimulation runs the
+        |   elastic event loop on it (per-model QoS metrics, model-tagged billing,
+        |   scale events addressed to model partitions)
         v
     repro.core                       build_multi_model_cost_matrix (one predict per
         |                            (model, type) per round, cross-model pairs

@@ -22,6 +22,11 @@ Lifecycle of a scale action:
 Scheduling happens on an index-stable :class:`~repro.sim.cluster.ClusterView` of the
 currently accepting servers, rebuilt (and the policy re-bound) whenever membership
 changes, so existing policies work unmodified.
+
+This is the one fault-tolerant event loop.  The multi-model loop
+(:mod:`repro.sim.multi_model`) and the spot loop (:mod:`repro.sim.preemption`) subclass
+it and override only the hooks below (model scoping, billing, scripted events), so
+every fault, retry, admission, health and hedge handler exists once.
 """
 
 from __future__ import annotations
@@ -132,7 +137,11 @@ class ScaleLogEntry:
     """One applied provisioning action (for reports and tests)."""
 
     time_ms: float
-    kind: str  # "scale_up" | "scale_down" | "instance_ready" | "decommission"
+    #: provisioning: "scale_up", "cancel_startup", "instance_ready", "scale_down",
+    #: "decommission"; crashes: "instance_failed", "void_inflight"; gray failures:
+    #: "degradation_onset", "zombie_onset", "quarantine", "probation",
+    #: "breaker_close"; spot: "preemption_warning", "preempted", "requeue"
+    kind: str
     type_name: str
     count: int
     reason: str = ""
@@ -249,7 +258,6 @@ class ElasticServingSimulation:
         policy,
         *,
         controller: Optional[ElasticKairosController] = None,
-        qos_ms: Optional[float] = None,
         qos_percentile: float = 99.0,
         startup_delay_ms: float = 2_000.0,
         noise: Optional[ServiceNoiseModel] = None,
@@ -279,7 +287,6 @@ class ElasticServingSimulation:
         self.cluster = cluster
         self.policy = policy
         self.controller = controller
-        self.qos_ms = float(qos_ms) if qos_ms is not None else cluster.model.qos_ms
         self.qos_percentile = float(qos_percentile)
         self.startup_delay_ms = float(startup_delay_ms)
         self.noise = noise
@@ -351,10 +358,7 @@ class ElasticServingSimulation:
         for event in self.scripted_events:
             self._validate_scripted(event)
         check_serving_inputs(
-            (),
-            (cluster.model.name,),
-            self.scripted_events,
-            cluster.config.catalog,
+            (), self._model_names(), self.scripted_events, self._catalog()
         )
         self._ran = False
 
@@ -379,48 +383,57 @@ class ElasticServingSimulation:
         controller's observation history, so repeat runs must build fresh objects."""
         if self._ran:
             raise RuntimeError(
-                "ElasticServingSimulation is one-shot: cluster membership and "
+                f"{type(self).__name__} is one-shot: cluster membership and "
                 "controller state are consumed by run(); build a fresh simulation "
                 "(and controller) for another run"
             )
         self._ran = True
-        check_serving_inputs(queries, (self.cluster.model.name,))
+        model_names = self._model_names()
+        check_serving_inputs(self._input_stream(queries), model_names)
         # An empty stream is a valid no-op: zero offered load serves zero queries
         # with empty metrics (scripted provisioning events still apply).
         ordered = sorted(queries, key=lambda q: (q.arrival_time_ms, q.query_id))
         n = len(ordered)
         self._outstanding = n
         self.cluster.reset()
-        metrics = ServingMetrics(self.qos_ms, self.qos_percentile)
+        metrics = self._new_metrics()
         scale_log: List[ScaleLogEntry] = []
         replans: List[ReplanDecision] = []
 
         clock = SimulationClock(0.0)
-        if self.sharded_events:
-            from repro.sim.sharding import ShardedEventQueue, shard_key_by_kind
-
-            events = ShardedEventQueue(shard_key_by_kind)
-        else:
-            events = EventQueue()
+        events, pending = self._queues()
         for q in ordered:
             events.push(Event(q.arrival_time_ms, EventKind.QUERY_ARRIVAL, q))
         events.push_all(self.scripted_events)
-        ledger = InstanceUsageLedger(self.cluster.config.catalog)
+        ledger = InstanceUsageLedger(self._catalog())
         self._open_initial_billing(ledger, events)
         self._arm_initial_faults(events)
 
-        pending = PendingQueue()
-        warmup_ids = {q.query_id for q in ordered[: self.warmup_queries]}
-        # Scale-ups in flight: reserved ids per type that have not fired INSTANCE_READY
-        # yet.  A scale-down cancels these (newest first) before draining live servers,
-        # so a replan reversing a recent scale-up cannot strand booting instances.
-        self._booting: Dict[str, List[int]] = {}
+        # Warm-up is per model: each model's online learner has its own cold start, so
+        # the first `warmup_queries` arrivals *of each model* are excluded from metrics
+        # (an untagged query belongs to the sole model; with one model this is the
+        # prefix of the stream).
+        warmup_ids = set()
+        if self.warmup_queries:
+            sole = model_names[0] if len(model_names) == 1 else None
+            seen: Dict[Optional[str], int] = {}
+            for q in ordered:
+                model = sole if q.model_name is None else q.model_name
+                count = seen.get(model, 0)
+                if count < self.warmup_queries:
+                    warmup_ids.add(q.query_id)
+                    seen[model] = count + 1
+        # Scale-ups in flight: reserved ids per (model, type) that have not fired
+        # INSTANCE_READY yet.  A scale-down cancels these (newest first) before draining
+        # live servers, so a replan reversing a recent scale-up cannot strand booting
+        # instances.
+        self._booting: Dict[Tuple[Optional[str], str], List[int]] = {}
         self._cancelled: set = set()
         dispatched = 0
         rounds = 0
         peak = len(self.cluster)
         view = self.cluster.active_view()
-        self.policy.bind(view, self.qos_ms)
+        self._bind(view)
         max_steps = step_budget(n, self.retry)
         steps = 0
         # fixed for the run: every input (faults, retry, monitor, hedges, a
@@ -470,7 +483,7 @@ class ElasticServingSimulation:
                 # wait centrally until an INSTANCE_READY brings capacity back (the
                 # next membership change re-binds).
                 if len(view):
-                    self.policy.bind(view, self.qos_ms)
+                    self._bind(view)
                 peak = max(peak, len(self.cluster))
 
             # scheduling round over the accepting servers (behind the admission valve)
@@ -511,7 +524,7 @@ class ElasticServingSimulation:
         # keeps its exact meaning.
         if self._forced_replans:
             replans = sorted(replans + self._forced_replans, key=lambda d: d.time_ms)
-        return ElasticSimulationReport(
+        return self._report_type(
             metrics=metrics,
             cluster=self.cluster,
             ledger=ledger,
@@ -536,9 +549,67 @@ class ElasticServingSimulation:
         )
 
     # -- subclass hooks -----------------------------------------------------------------
-    # The preemption simulator (repro.sim.preemption) extends the lifecycle through
-    # these hooks instead of forking the event loop; all defaults reproduce the
-    # pre-spot behaviour exactly (locked down by the seed-stability suite).
+    # The multi-model (repro.sim.multi_model) and preemption (repro.sim.preemption)
+    # simulators extend the loop through these hooks instead of forking it; the
+    # defaults are the single-model elastic behaviour (locked down by the
+    # seed-stability suite).
+    _report_type = ElasticSimulationReport
+
+    def _model_names(self) -> Sequence[str]:
+        """Models the cluster serves (the input contract and the warm-up rule)."""
+        return (self.cluster.model.name,)
+
+    def _catalog(self):
+        """The instance catalog scale requests and billing resolve types against."""
+        return self.cluster.config.catalog
+
+    def _input_stream(self, queries: Sequence[Query]) -> Sequence[Query]:
+        """Every query the run will admit, for the up-front input check."""
+        return queries
+
+    def _new_metrics(self) -> ServingMetrics:
+        return ServingMetrics(self.cluster.model.qos_ms, self.qos_percentile)
+
+    def _bind(self, view) -> None:
+        self.policy.bind(view, self.cluster.model.qos_ms)
+
+    def _queues(self) -> Tuple[EventQueue, PendingQueue]:
+        """The run's event queue and central pending queue."""
+        if self.sharded_events:
+            from repro.sim.sharding import ShardedEventQueue, shard_key_by_kind
+
+            return ShardedEventQueue(shard_key_by_kind), PendingQueue()
+        return EventQueue(), PendingQueue()
+
+    def _request_model(self, request: ScaleRequest) -> Optional[str]:
+        """The model partition a scale request targets (one partition here)."""
+        return None
+
+    def _reason(self, reason: str, model_name: Optional[str]) -> str:
+        """The scale-log reason of a provisioning entry for ``model_name``."""
+        return reason
+
+    def _reserve_server_id(self, model_name: Optional[str]) -> int:
+        return self.cluster.reserve_server_id()
+
+    def _add_server(
+        self, model_name: Optional[str], type_name: str, now: float, server_id: int
+    ) -> None:
+        self.cluster.add_server(type_name, now_ms=now, server_id=server_id)
+
+    def _drain_servers(
+        self, model_name: Optional[str], type_name: str, count: int, now: float
+    ) -> List[ServerInstance]:
+        return self.cluster.drain_servers(type_name, count, now)
+
+    def _partition_of(self, server_id: int) -> Cluster:
+        """The capacity pool ``server_id`` belongs to: quarantine guard, hedges,
+        like-for-like replacement."""
+        return self.cluster
+
+    def _check_assignments(self, assignments, view) -> None:
+        """Reject a round's assignments before any is committed (no-op here)."""
+
     def _open_initial_billing(self, ledger: InstanceUsageLedger, events: EventQueue) -> None:
         """Open billing for the initial fleet (``events`` lets subclasses arm timers)."""
         for server in self.cluster:
@@ -784,6 +855,7 @@ class ElasticServingSimulation:
                             server.type_name,
                             1,
                             reason="replace_failed",
+                            model_name=self._partition_of(server_id).model.name,
                             market=self._market_label(server_id),
                         ),
                     )
@@ -932,14 +1004,6 @@ class ElasticServingSimulation:
     def _breaker(self, server_id: int) -> CircuitBreaker:
         return self._breakers.setdefault(server_id, CircuitBreaker())
 
-    def _quarantine_pool(self, server: ServerInstance) -> List[ServerInstance]:
-        """The capacity pool the liveness guard counts (subclasses scope per model)."""
-        return list(self.cluster)
-
-    def _hedge_targets(self, record: QueryRecord) -> List[ServerInstance]:
-        """Candidate servers for a hedge duplicate (subclasses scope per model)."""
-        return self.cluster.active_servers()
-
     def _quarantine_server(
         self,
         server: ServerInstance,
@@ -958,7 +1022,7 @@ class ElasticServingSimulation:
         """
         if server.draining or server.quarantined:
             return False
-        accepting = sum(1 for s in self._quarantine_pool(server) if s.accepting)
+        accepting = sum(1 for s in self._partition_of(server.server_id) if s.accepting)
         if accepting <= 1:
             return False
         server_id = server.server_id
@@ -1132,7 +1196,7 @@ class ElasticServingSimulation:
             return  # already hedged once
         candidates = [
             s
-            for s in self._hedge_targets(record)
+            for s in self._partition_of(record.server_id).active_servers()
             if s.accepting and s.is_idle(now) and s.server_id != record.server_id
         ]
         if not candidates:
@@ -1385,42 +1449,53 @@ class ElasticServingSimulation:
 
         if event.kind == EventKind.SCALE_UP:
             request: ScaleRequest = event.payload
-            itype = self.cluster.config.catalog[request.type_name]
+            model_name = self._request_model(request)
+            itype = self._catalog()[request.type_name]
             for _ in range(request.count):
                 # billing starts at the request; the instance is schedulable only
                 # after the startup delay
-                server_id = self.cluster.reserve_server_id()
+                server_id = self._reserve_server_id(model_name)
                 self._start_billing(ledger, server_id, itype, now, request)
-                self._booting.setdefault(request.type_name, []).append(server_id)
+                self._booting.setdefault((model_name, request.type_name), []).append(
+                    server_id
+                )
                 events.push(
                     Event(
                         now + self.startup_delay_ms,
                         EventKind.INSTANCE_READY,
-                        (server_id, request.type_name),
+                        (server_id, request.type_name, model_name),
                     )
                 )
             scale_log.append(
-                ScaleLogEntry(now, "scale_up", request.type_name, request.count, request.reason)
+                ScaleLogEntry(
+                    now,
+                    "scale_up",
+                    request.type_name,
+                    request.count,
+                    self._reason(request.reason, model_name),
+                )
             )
             return False, False
 
         if event.kind == EventKind.SCALE_DOWN:
             request = event.payload
-            self.cluster.config.catalog[request.type_name]  # raises on unknown type
+            model_name = self._request_model(request)
+            self._catalog()[request.type_name]  # raises on unknown type
+            reason = self._reason(request.reason, model_name)
             remaining = request.count
             # cancel still-booting instances first (newest first): they have not
             # served anything, so reversing them is free apart from the boot billing
-            booting = self._booting.get(request.type_name, [])
+            booting = self._booting.get((model_name, request.type_name), [])
             while remaining > 0 and booting:
                 server_id = booting.pop()
                 self._cancelled.add(server_id)
                 ledger.stop(server_id, now)
                 scale_log.append(
-                    ScaleLogEntry(now, "cancel_startup", request.type_name, 1, request.reason)
+                    ScaleLogEntry(now, "cancel_startup", request.type_name, 1, reason)
                 )
                 remaining -= 1
             victims = (
-                self.cluster.drain_servers(request.type_name, remaining, now)
+                self._drain_servers(model_name, request.type_name, remaining, now)
                 if remaining > 0
                 else []
             )
@@ -1434,22 +1509,24 @@ class ElasticServingSimulation:
                     )
                 changed = True
             scale_log.append(
-                ScaleLogEntry(
-                    now, "scale_down", request.type_name, len(victims), request.reason
-                )
+                ScaleLogEntry(now, "scale_down", request.type_name, len(victims), reason)
             )
             return changed, False
 
         if event.kind == EventKind.INSTANCE_READY:
-            server_id, type_name = event.payload
+            server_id, type_name, model_name = event.payload
             if server_id in self._cancelled:
                 self._cancelled.discard(server_id)
                 return False, False
-            booting = self._booting.get(type_name, [])
+            booting = self._booting.get((model_name, type_name), [])
             if server_id in booting:
                 booting.remove(server_id)
-            self.cluster.add_server(type_name, now_ms=now, server_id=server_id)
-            scale_log.append(ScaleLogEntry(now, "instance_ready", type_name, 1))
+            self._add_server(model_name, type_name, now, server_id)
+            scale_log.append(
+                ScaleLogEntry(
+                    now, "instance_ready", type_name, 1, self._reason("", model_name)
+                )
+            )
             self._after_instance_ready(server_id, type_name, now, events)
             return True, False
 
@@ -1493,6 +1570,7 @@ class ElasticServingSimulation:
         now: float,
         events: EventQueue,
     ) -> int:
+        self._check_assignments(assignments, view)
         count = 0
         for query, server_idx in assignments:
             if query.query_id not in pending:

@@ -88,6 +88,8 @@ def canonical_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
       (identical rows when ``m > n``): the class's lowest-index columns go to the
       rows it serves in ascending row order (symmetrically, the class's
       lowest-index rows take its matched columns in ascending column order).
+      Identical rows of a square or wide matrix are not re-dealt: which of them
+      takes which column is scipy's choice.
 
     Raises ``ValueError`` for a non-2-D or non-finite cost matrix.
     """

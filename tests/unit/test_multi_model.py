@@ -385,6 +385,23 @@ class TestMultiModelServingSimulation:
         for record in report.metrics.of_model("RM2").records:
             assert record.server_id in rm2_types
 
+    def test_cross_model_assignment_rejected_before_any_dispatch(self, mm_cluster):
+        class CrossPolicy:
+            def bind(self, view):
+                self.wnd_server = view.server_models().index("WND")
+
+            def schedule(self, now, pending, view):
+                return [(q, self.wnd_server) for q in pending]
+
+            def observe_completion(self, record):
+                pass
+
+        queries = [Query(0, 8, 0.0, model_name="WND"), Query(1, 8, 0.0, model_name="RM2")]
+        sim = MultiModelServingSimulation(mm_cluster, CrossPolicy(), rng=3)
+        with pytest.raises(ValueError, match="query 1 \\(RM2\\) to a server hosting WND"):
+            sim.run(queries)
+        assert all(server.local_queue_depth == 0 for server in mm_cluster)
+
     def test_untagged_queries_rejected_with_two_models(self, mm_cluster):
         with pytest.raises(ValueError):
             simulate_multi_model_serving(
@@ -483,6 +500,86 @@ class TestMultiModelServingSimulation:
 # -- single-model compatibility ------------------------------------------------------------
 
 
+def _chaos_kwargs(case, catalog):
+    """Fresh simulator keyword arguments (generators included) for one chaos case."""
+    from repro.sim.events import CrashStorm
+    from repro.sim.faults import FaultInjector, RetryPolicy
+    from repro.sim.health import HealthConfig, HedgePolicy
+
+    knobs = CHAOS_CASES[case]
+    kwargs = {}
+    hazards = knobs.get("faults")
+    if hazards is not None:
+        kwargs["faults"] = FaultInjector.uniform(catalog, **hazards)
+        kwargs["fault_rng"] = np.random.default_rng([SEED, 505])
+        kwargs["gray_rng"] = np.random.default_rng([SEED, 606])
+    if "retry" in knobs:
+        kwargs["retry"] = RetryPolicy(**knobs["retry"])
+    if knobs.get("health"):
+        kwargs["health"] = HealthConfig()
+    if knobs.get("hedge"):
+        kwargs["hedge"] = HedgePolicy()
+    scripted = []
+    if knobs.get("scale"):
+        scripted += [
+            Event(2_000.0, EventKind.SCALE_UP, ScaleRequest("c5n.2xlarge", 1)),
+            Event(2_500.0, EventKind.SCALE_DOWN, ScaleRequest("c5n.2xlarge", 1)),
+            Event(3_000.0, EventKind.SCALE_UP, ScaleRequest("g4dn.xlarge", 1)),
+            Event(6_000.0, EventKind.SCALE_DOWN, ScaleRequest("r5n.large", 1)),
+        ]
+    if knobs.get("storm"):
+        scripted.append(Event(4_000.0, EventKind.INSTANCE_FAILED, CrashStorm(2)))
+    kwargs["scripted_events"] = scripted
+    return kwargs
+
+
+def _chaos_outcome(report):
+    """Everything but the completions that both loops must agree on."""
+    return (
+        [(d.query.query_id, d.time_ms, d.reason, d.attempts) for d in report.dead_letters],
+        report.retries,
+        (report.hedges_launched, report.hedges_cancelled, report.hedge_wins),
+        [
+            (i.server_id, i.type_name, i.start_ms, i.end_ms, i.failed)
+            for i in report.ledger.intervals
+        ],
+        [(s.server_id, s.kind, s.start_ms, s.end_ms) for s in report.ledger.spans],
+        [(e.time_ms, e.kind, e.type_name, e.count) for e in report.scale_log],
+        report.scheduling_rounds,
+        report.billing_horizon_ms,
+    )
+
+
+_CRASH = {"failures_per_hour": 300.0}
+_SLOW = {"slowdowns_per_hour": 600.0, "slowdown_factor": 3.0, "slowdown_duration_ms": 2_000.0}
+_FLAKY = {"flaky_per_hour": 1_200.0, "flaky_factor": 3.0}
+_ZOMBIE = {"zombies_per_hour": 200.0}
+
+#: Chaos configurations on which the elastic and the one-model multi-model loop
+#: must agree event for event.  Degradation with health monitoring, and heavier
+#: load (40-50 qps on this stream), are left out: there ``MultiModelKairosPolicy``
+#: and ``KairosPolicy`` already pick differently among identical pending queries
+#: (equal batch sizes), a difference of the policies, not of the loops.
+CHAOS_CASES = {
+    "scripted-scale": {"scale": True},
+    "crash-retry": {"faults": _CRASH, "retry": {}},
+    "slowdown": {"faults": _SLOW},
+    "flaky": {"faults": _FLAKY},
+    "hedge-slowdown": {"faults": _SLOW, "hedge": True},
+    "zombie-health": {"faults": _ZOMBIE, "health": True},
+    "zombie-retry": {"faults": _ZOMBIE, "retry": {"response_timeout_ms": 400.0}},
+    "storm-crash-retry-scale": {
+        "faults": _CRASH, "retry": {}, "storm": True, "scale": True,
+    },
+    "crash-slowdown-flaky-hedge-retry-scale": {
+        "faults": {**_CRASH, **_SLOW, **_FLAKY},
+        "hedge": True,
+        "retry": {},
+        "scale": True,
+    },
+}
+
+
 class TestSingleModelByteIdentity:
     """With one registered model the multi-model pipeline must not drift at all."""
 
@@ -555,6 +652,65 @@ class TestSingleModelByteIdentity:
             mm, MultiModelKairosPolicy(), self._stream(), rng=3
         )
         assert report.completed_all
+
+    def test_warmup_counts_tagged_and_untagged_queries_as_one_model(
+        self, small_config, rm2, profiles
+    ):
+        """An untagged query belongs to the sole model, so it warms that model up."""
+        from dataclasses import replace
+
+        queries = [
+            replace(q, model_name="RM2" if q.query_id % 2 else None)
+            for q in self._stream()[:60]
+        ]
+        elastic = simulate_elastic_serving(
+            Cluster(small_config, rm2, profiles),
+            KairosPolicy(),
+            queries,
+            rng=np.random.default_rng(SEED + 1),
+            warmup_queries=10,
+        )
+        mm = simulate_multi_model_serving(
+            MultiModelCluster({"RM2": small_config}, profiles),
+            MultiModelKairosPolicy(),
+            queries,
+            rng=np.random.default_rng(SEED + 1),
+            warmup_queries=10,
+        )
+        assert len(elastic.metrics) == 50
+        assert self._tuples(mm.metrics.of_model("RM2").records) == self._tuples(
+            elastic.metrics.records
+        )
+
+    @pytest.mark.parametrize("case", sorted(CHAOS_CASES))
+    def test_chaos_identical_to_elastic_single_model_path(
+        self, case, catalog, rm2, profiles
+    ):
+        """Faults, retries, health, hedging and scaling: one model, one run."""
+        config = HeterogeneousConfig((2, 1, 2, 0), catalog)
+        spec = WorkloadSpec(
+            batch_sizes=TruncatedLogNormalBatchSizes(median=80, sigma=1.1),
+            num_queries=600,
+        )
+        queries = WorkloadGenerator(spec).generate(rate_qps=30.0, rng=SEED)
+        elastic = simulate_elastic_serving(
+            Cluster(config, rm2, profiles),
+            KairosPolicy(),
+            queries,
+            rng=np.random.default_rng(SEED + 1),
+            **_chaos_kwargs(case, catalog),
+        )
+        mm = simulate_multi_model_serving(
+            MultiModelCluster({"RM2": config}, profiles),
+            MultiModelKairosPolicy(),
+            queries,
+            rng=np.random.default_rng(SEED + 1),
+            **_chaos_kwargs(case, catalog),
+        )
+        assert self._tuples(mm.metrics.of_model("RM2").records) == self._tuples(
+            elastic.metrics.records
+        )
+        assert _chaos_outcome(mm) == _chaos_outcome(elastic)
 
 
 class TestSpotDisabledByteIdentity:

@@ -30,7 +30,7 @@ EXPECTED_SEAMS = {
         "column refresh (incremental)",
         "single-query scorer",
         "latency prediction (scalar)",
-        "dispatch commit (joint)",
+        "dispatch commit (elastic)",
     ),
     "gray": (
         "policy schedule (whole round)",

@@ -58,7 +58,6 @@ def _instrument():
     import repro.schedulers.kairos_policy as kairos_policy
     import repro.sim.elasticity as elasticity
     import repro.sim.health as health
-    import repro.sim.multi_model as multi_model
     import repro.sim.simulation as simulation
     from repro.core.latency_model import OnlineLatencyEstimator
     from repro.pipeline.runtime import PipelineCoordinator
@@ -94,8 +93,9 @@ def _instrument():
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
     seam("latency prediction (scalar)", OnlineLatencyEstimator, "predict_ms")
     seam("dispatch commit", simulation.ServingSimulation, "_commit")
+    # the elastic, spot, multi-model and pipeline loops share one _commit and one
+    # set of gray-failure handlers, so each seam below times all four loops
     seam("dispatch commit (elastic)", elasticity.ElasticServingSimulation, "_commit")
-    seam("dispatch commit (joint)", multi_model.MultiModelServingSimulation, "_commit")
     # gray-failure seams: health scoring on every completion, the check/probe
     # handlers, quarantine side effects, and the hedge race machinery
     seam("health scoring (completions)", health.ServerHealthMonitor, "observe_completion")
