@@ -19,7 +19,8 @@ Sub-packages
 ------------
 ``repro.cloud``     instance catalog, models, latency profiles, configurations, billing
 ``repro.workload``  queries, batch-size distributions, arrival processes, traces
-``repro.sim``       discrete-event serving simulator and capacity measurement
+``repro.sim``       discrete-event serving simulator (one kernel: static runs are
+                    the elastic loop with no controller) and capacity measurement
 ``repro.solvers``   linear-sum-assignment solvers (canonical JV, Hungarian, greedy)
 ``repro.core``      the Kairos planner, distributor, upper bound, Kairos+ search
 ``repro.schedulers``query-distribution policies (Kairos, Ribbon, DRS, CLKWRK, Oracle)
@@ -37,7 +38,8 @@ four layers::
         |   into one query stream with per-phase windows
         v
     repro.sim.elasticity             ElasticServingSimulation
-        |   one EventQueue carrying arrivals, completions, and the provisioning
+        |   the serving kernel: fresh arrivals stream from the sorted trace, and
+        |   one EventQueue carries completions, re-queues, and the provisioning
         |   events SCALE_UP / SCALE_DOWN / INSTANCE_READY; draining semantics and
         |   an index-stable ClusterView for the scheduling policy; per-instance
         |   billing via repro.cloud.billing.InstanceUsageLedger

@@ -22,7 +22,7 @@ from repro.core.kairos import KairosPlanner
 from repro.core.latency_model import OnlineLatencyEstimator
 from repro.core.upper_bound import ThroughputUpperBoundEstimator
 from repro.sim.cluster import Cluster
-from repro.sim.simulation import ServingSimulation
+from repro.sim.elasticity import ElasticServingSimulation
 from repro.workload.batch_sizes import (
     TruncatedLogNormalBatchSizes,
     production_batch_distribution,
@@ -172,7 +172,7 @@ def bench_serving_sim(preset: str) -> BenchResult:
         from repro.schedulers.kairos_policy import KairosPolicy
 
         cluster = Cluster(config, model, profiles)
-        sim = ServingSimulation(
+        sim = ElasticServingSimulation(
             cluster, KairosPolicy(), rng=np.random.default_rng(SEED + 1)
         )
         report = sim.run(queries)

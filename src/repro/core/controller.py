@@ -39,7 +39,8 @@ from repro.core.kairos import (
 )
 from repro.core.kairos_plus import KairosPlusResult, KairosPlusSearch
 from repro.sim.capacity import AllowableThroughputResult, measure_allowable_throughput
-from repro.sim.simulation import SimulationReport, simulate_serving
+from repro.sim.elasticity import ElasticSimulationReport
+from repro.sim.simulation import simulate_serving
 from repro.utils.rng import RngLike, ensure_rng
 from repro.workload.batch_sizes import BatchSizeDistribution, production_batch_distribution
 from repro.workload.generator import WorkloadSpec
@@ -155,7 +156,7 @@ class KairosServingSystem:
         config: Optional[HeterogeneousConfig] = None,
         dispatch_overhead_ms: float = 0.0,
         rng: RngLike = None,
-    ) -> SimulationReport:
+    ) -> ElasticSimulationReport:
         """Serve a concrete query stream on the planned (or a given) configuration."""
         chosen = config if config is not None else self.selected_config
         return simulate_serving(

@@ -189,7 +189,7 @@ def check_query_conservation(result) -> List[Violation]:
                 )
             )
 
-    if getattr(report, "completed_all", report.dispatched_queries == report.total_queries):
+    if report.completed_all:
         lost = sorted(submitted - set(completed))
         if lost:
             out.append(
@@ -263,7 +263,7 @@ def check_round_separation(result) -> List[Violation]:
 def _commissioned_instances(result) -> Optional[int]:
     """Initial fleet + every scale-up, from the report's scale log (None = no log)."""
     report = result.report
-    scale_log = getattr(report, "scale_log", None)
+    scale_log = report.scale_log
     if scale_log is None:
         return None
     initial = len(result.spec.config_counts[0]) and sum(
@@ -276,11 +276,9 @@ def _commissioned_instances(result) -> Optional[int]:
 def check_budget_conservation(result) -> List[Violation]:
     """The ledger is a conservative account of exactly the capacity that existed."""
     ledger = result.ledger
-    if ledger is None:
-        return []
     out: List[Violation] = []
     name = "budget_conservation"
-    horizon = float(getattr(result.report, "billing_horizon_ms", 0.0))
+    horizon = float(result.report.billing_horizon_ms)
 
     def _end(iv) -> float:
         return iv.end_ms if iv.end_ms is not None else horizon
@@ -381,11 +379,9 @@ def check_budget_conservation(result) -> List[Violation]:
 def check_ledger_partition_exactness(result) -> List[Violation]:
     """Every way of slicing the bill sums back to the same total."""
     ledger = result.ledger
-    if ledger is None:
-        return []
     out: List[Violation] = []
     name = "ledger_partition_exactness"
-    horizon = float(getattr(result.report, "billing_horizon_ms", 0.0))
+    horizon = float(result.report.billing_horizon_ms)
     total = ledger.total_cost(horizon)
 
     partitions = {
@@ -425,13 +421,13 @@ def check_outcome_conservation(result) -> List[Violation]:
     report = result.report
     total = report.total_queries
     served_ids = Counter(rec.query.query_id for rec in result.completions)
-    shed = getattr(report, "shed_queries", [])
-    dead = getattr(report, "dead_letters", [])
-    unserved = getattr(report, "unserved_queries", 0)
+    shed = report.shed_queries
+    dead = report.dead_letters
+    unserved = report.unserved_queries
 
     served = len(result.completions)
     balance = served + len(shed) + len(dead) + unserved
-    if balance != total and not getattr(report, "early_stopped", False):
+    if balance != total and not report.early_stopped:
         out.append(
             Violation(
                 name,
@@ -460,13 +456,11 @@ def check_outcome_conservation(result) -> List[Violation]:
 def check_failure_billing(result) -> List[Violation]:
     """Crashes stop the meter at the failure instant; the failure partition is exact."""
     ledger = result.ledger
-    if ledger is None:
-        return []
     out: List[Violation] = []
     name = "failure_billing"
     report = result.report
-    horizon = float(getattr(report, "billing_horizon_ms", 0.0))
-    scale_log = getattr(report, "scale_log", ()) or ()
+    horizon = float(report.billing_horizon_ms)
+    scale_log = report.scale_log
     failure_times = sorted(e.time_ms for e in scale_log if e.kind == "instance_failed")
 
     failed_intervals = [iv for iv in ledger.intervals if getattr(iv, "failed", False)]
@@ -530,7 +524,7 @@ def check_retry_bounded(result) -> List[Violation]:
     spec = result.spec
     max_attempts = spec.retry.max_attempts if spec.retry is not None else 1
     report = result.report
-    dead = getattr(report, "dead_letters", [])
+    dead = report.dead_letters
 
     # In the spot loop, announced preemptions re-queue outside the retry budget, so
     # assignment counts are only budget-bounded on the unannounced-failure loops.
@@ -576,7 +570,7 @@ def check_retry_bounded(result) -> List[Violation]:
                 )
             )
 
-    retries = getattr(report, "retries", 0)
+    retries = report.retries
     if retries and spec.retry is None:
         out.append(Violation(name, f"{retries} retries recorded without a retry policy"))
     return out
@@ -648,7 +642,7 @@ def check_graph_conservation(result) -> List[Violation]:
         return []
     out: List[Violation] = []
     name = "graph_conservation"
-    backlogged = getattr(result.report, "unserved_queries", 0) > 0
+    backlogged = result.report.unserved_queries > 0
     for o in outcomes:
         balance = (
             o.served_stages
@@ -726,8 +720,8 @@ def check_graph_conservation(result) -> List[Violation]:
 
     coordinator = getattr(result, "coordinator", None)
     if coordinator is not None and coordinator.active:
-        shed_ids = {e.query.query_id for e in getattr(result.report, "shed_queries", ())}
-        dead_ids = {e.query.query_id for e in getattr(result.report, "dead_letters", ())}
+        shed_ids = {e.query.query_id for e in result.report.shed_queries}
+        dead_ids = {e.query.query_id for e in result.report.dead_letters}
         served_ids = Counter(rec.query.query_id for rec in result.completions)
         for runtime in coordinator.runtimes:
             gid = runtime.graph.graph_id
@@ -780,9 +774,9 @@ def check_hedge_exactly_once(result) -> List[Violation]:
     name = "hedge_exactly_once"
     report = result.report
     spec = result.spec
-    launched = getattr(report, "hedges_launched", 0)
-    cancelled = getattr(report, "hedges_cancelled", 0)
-    wins = getattr(report, "hedge_wins", 0)
+    launched = report.hedges_launched
+    cancelled = report.hedges_cancelled
+    wins = report.hedge_wins
 
     if spec.hedge is None and (launched or cancelled or wins):
         out.append(
@@ -846,12 +840,10 @@ def check_hedge_exactly_once(result) -> List[Violation]:
 def check_gray_billing_partition(result) -> List[Violation]:
     """The gray attribution partition re-labels the bill without creating or losing cost."""
     ledger = result.ledger
-    if ledger is None:
-        return []
     out: List[Violation] = []
     name = "gray_billing_partition"
     spec = result.spec
-    horizon = float(getattr(result.report, "billing_horizon_ms", 0.0))
+    horizon = float(result.report.billing_horizon_ms)
     partition = ledger.attribution_partition(horizon)
     total = ledger.total_cost(horizon)
 
@@ -898,7 +890,7 @@ def check_probation_liveness(result) -> List[Violation]:
     name = "probation_liveness"
     spec = result.spec
     report = result.report
-    scale_log = getattr(report, "scale_log", ()) or ()
+    scale_log = report.scale_log
     lifecycle = [e for e in scale_log if e.kind in ("quarantine", "probation", "breaker_close")]
 
     if spec.health is None:

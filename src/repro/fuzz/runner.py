@@ -42,7 +42,7 @@ from repro.sim.faults import AdmissionController, FaultInjector, RetryPolicy
 from repro.sim.health import HealthConfig, HedgePolicy
 from repro.sim.multi_model import MultiModelServingSimulation
 from repro.sim.preemption import PreemptibleElasticSimulation, initial_spot_server_ids
-from repro.sim.simulation import ServingSimulation, gaussian_service_noise
+from repro.sim.simulation import gaussian_service_noise
 from repro.workload.arrivals import (
     BurstyArrivalProcess,
     DeterministicArrivalProcess,
@@ -132,7 +132,7 @@ class ScenarioResult:
 
     @property
     def ledger(self):
-        return getattr(self.report, "ledger", None)
+        return self.report.ledger
 
     @property
     def ok(self) -> bool:
@@ -239,7 +239,7 @@ def _scripted_events(spec: ScenarioSpec) -> List[Event]:
 
 
 def _chaos_kwargs(spec: ScenarioSpec) -> Dict:
-    """The fault/retry/admission/gray knobs shared by the elastic-family simulators."""
+    """The fault/retry/admission/gray knobs (a static spec sets retry/admission only)."""
     kwargs: Dict = {}
     if spec.faults is not None:
         f = spec.faults
@@ -280,13 +280,6 @@ def _chaos_kwargs(spec: ScenarioSpec) -> Dict:
             delay_factor=g.delay_factor,
             min_samples=g.min_samples,
         )
-    kwargs.update(_degradation_kwargs(spec))
-    return kwargs
-
-
-def _degradation_kwargs(spec: ScenarioSpec) -> Dict:
-    """Retry/admission knobs (legal on every loop, including static)."""
-    kwargs: Dict = {}
     if spec.retry is not None:
         r = spec.retry
         kwargs["retry"] = RetryPolicy(
@@ -348,23 +341,9 @@ def run_scenario(
     run_queries = list(queries) if queries is not None else build_queries(spec)
     controller = None
 
-    if spec.loop == "static":
-        model = get_model(spec.streams[0].model_name)
-        cluster = Cluster(
-            HeterogeneousConfig(tuple(spec.config_counts[0])), model, registry
-        )
-        policy = _single_model_policy(spec)
-        sim = ServingSimulation(
-            cluster,
-            policy,
-            noise=_noise(spec),
-            rng=_service_rng(spec),
-            warmup_queries=spec.warmup_queries,
-            sharded_events=spec.sharded_events,
-            **_degradation_kwargs(spec),
-        )
-        report = sim.run(run_queries)
-    elif spec.loop in ("elastic", "spot"):
+    if spec.loop in ("static", "elastic", "spot"):
+        # A static spec is the kernel with no controller and no scripted events
+        # (spec validation refuses both, and faults, on the static loop).
         model = get_model(spec.streams[0].model_name)
         cluster = Cluster(
             HeterogeneousConfig(tuple(spec.config_counts[0])), model, registry
@@ -381,7 +360,7 @@ def run_scenario(
             sharded_events=spec.sharded_events,
             **_chaos_kwargs(spec),
         )
-        if spec.loop == "elastic":
+        if spec.loop != "spot":
             sim = ElasticServingSimulation(cluster, policy, **common)
         else:
             spot = spec.spot
@@ -512,9 +491,9 @@ def result_digest(result: ScenarioResult, *, include_billing: bool = True) -> st
         )
     # Chaos outcomes: emitted only when present, so digests of fault-free runs are
     # byte-identical to what they hashed to before the chaos subsystem existed.
-    for entry in getattr(report, "shed_queries", ()):
+    for entry in report.shed_queries:
         line("shed", entry.query.query_id, repr(entry.time_ms), entry.reason)
-    for entry in getattr(report, "dead_letters", ()):
+    for entry in report.dead_letters:
         line(
             "dead",
             entry.query.query_id,
@@ -522,19 +501,12 @@ def result_digest(result: ScenarioResult, *, include_billing: bool = True) -> st
             entry.reason,
             entry.attempts,
         )
-    retries = getattr(report, "retries", 0)
-    if retries:
-        line("retries", retries)
+    if report.retries:
+        line("retries", report.retries)
     # Gray outcomes: emitted only when the hedge layer actually fired, so digests
     # of hedge-free runs are byte-identical to pre-gray digests.
-    hedges_launched = getattr(report, "hedges_launched", 0)
-    if hedges_launched:
-        line(
-            "hedges",
-            hedges_launched,
-            getattr(report, "hedges_cancelled", 0),
-            getattr(report, "hedge_wins", 0),
-        )
+    if report.hedges_launched:
+        line("hedges", report.hedges_launched, report.hedges_cancelled, report.hedge_wins)
     # Task-graph outcomes: emitted only when graphs ran, so graph-free digests are
     # byte-identical to what they hashed to before the pipeline subsystem existed.
     for outcome in result.graph_outcomes:
@@ -550,33 +522,32 @@ def result_digest(result: ScenarioResult, *, include_billing: bool = True) -> st
         )
     if include_billing:
         ledger = result.ledger
-        if ledger is not None:
-            line("horizon", repr(getattr(report, "billing_horizon_ms", 0.0)))
-            for iv in ledger.intervals:
-                parts = [
-                    "bill",
-                    iv.server_id,
-                    iv.type_name,
-                    repr(iv.start_ms),
-                    repr(iv.end_ms),
-                    iv.tag or "",
-                    iv.market,
-                    repr(iv.price_multiplier),
-                ]
-                if getattr(iv, "failed", False):
-                    parts.append("failed")
-                line(*parts)
-            # Attribution spans exist only when quarantine/hedging ran: absent,
-            # the billing digest is byte-identical to pre-gray digests.
-            for span in getattr(ledger, "spans", ()):
-                line(
-                    "span",
-                    span.server_id,
-                    span.kind,
-                    repr(span.start_ms),
-                    repr(span.end_ms),
-                )
-        for entry in getattr(report, "scale_log", ()):
+        line("horizon", repr(report.billing_horizon_ms))
+        for iv in ledger.intervals:
+            parts = [
+                "bill",
+                iv.server_id,
+                iv.type_name,
+                repr(iv.start_ms),
+                repr(iv.end_ms),
+                iv.tag or "",
+                iv.market,
+                repr(iv.price_multiplier),
+            ]
+            if iv.failed:
+                parts.append("failed")
+            line(*parts)
+        # Attribution spans exist only when quarantine/hedging ran: absent,
+        # the billing digest is byte-identical to pre-gray digests.
+        for span in ledger.spans:
+            line(
+                "span",
+                span.server_id,
+                span.kind,
+                repr(span.start_ms),
+                repr(span.end_ms),
+            )
+        for entry in report.scale_log:
             line(
                 "scale",
                 repr(entry.time_ms),

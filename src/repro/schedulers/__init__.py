@@ -1,7 +1,7 @@
 """Query-distribution policies: Kairos and the competing schemes of the paper.
 
 Every policy implements the small :class:`~repro.schedulers.base.SchedulingPolicy`
-protocol consumed by :mod:`repro.sim.simulation`:
+protocol consumed by the serving kernel (:mod:`repro.sim.elasticity`):
 
 * :class:`~repro.schedulers.fcfs.RibbonFCFSPolicy` — Ribbon's FCFS distribution that
   prefers base instances;

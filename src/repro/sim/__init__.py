@@ -32,7 +32,7 @@ from repro.sim.preemption import (
     simulate_preemptible_serving,
 )
 from repro.sim.server import ServerInstance
-from repro.sim.simulation import ServingSimulation, SimulationReport, simulate_serving
+from repro.sim.simulation import simulate_serving
 
 __all__ = [
     "Event",
@@ -46,8 +46,6 @@ __all__ = [
     "ClusterView",
     "QueryRecord",
     "ServingMetrics",
-    "ServingSimulation",
-    "SimulationReport",
     "simulate_serving",
     "ElasticServingSimulation",
     "ElasticSimulationReport",

@@ -24,8 +24,8 @@ from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.models import MLModel
 from repro.cloud.profiles import ProfileRegistry
 from repro.sim.cluster import Cluster
+from repro.sim.elasticity import ElasticServingSimulation
 from repro.sim.server import ServiceNoiseModel
-from repro.sim.simulation import ServingSimulation
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
@@ -126,7 +126,9 @@ def measure_allowable_throughput(
     spec = workload_spec if workload_spec is not None else WorkloadSpec()
     if num_queries is not None:
         spec = spec.with_num_queries(num_queries)
-    qos = float(qos_ms) if qos_ms is not None else model.qos_ms
+    if qos_ms is not None:
+        model = model.with_qos(qos_ms)
+    qos = model.qos_ms
 
     master = ensure_rng(rng)
     workload_seed = int(master.integers(0, 2**62))
@@ -148,10 +150,9 @@ def measure_allowable_throughput(
     def probe(rate: float) -> bool:
         queries = generator.generate(rate, np.random.default_rng(workload_seed))
         cluster = Cluster(config, model, profiles, dispatch_overhead_ms=dispatch_overhead_ms)
-        sim = ServingSimulation(
+        sim = ElasticServingSimulation(
             cluster,
             policy_factory(),
-            qos_ms=qos,
             qos_percentile=qos_percentile,
             noise=noise,
             rng=np.random.default_rng(noise_seed),

@@ -68,9 +68,11 @@ class Cluster:
         self.dispatch_overhead_ms = float(dispatch_overhead_ms)
         self._ids = id_allocator if id_allocator is not None else ServerIdAllocator()
         self._servers: List[ServerInstance] = []
+        #: present servers by id (membership changes keep it in step with _servers)
+        self._by_id: Dict[int, ServerInstance] = {}
         for itype in config.expand_instance_types():
             profile = profiles.profile(model, itype)
-            self._servers.append(
+            self._append(
                 ServerInstance(
                     server_id=self._ids.reserve(),
                     instance_type=itype,
@@ -78,6 +80,10 @@ class Cluster:
                     dispatch_overhead_ms=self.dispatch_overhead_ms,
                 )
             )
+
+    def _append(self, server: ServerInstance) -> None:
+        self._servers.append(server)
+        self._by_id[server.server_id] = server
 
     # -- container protocol --------------------------------------------------------------
     def __len__(self) -> int:
@@ -128,10 +134,10 @@ class Cluster:
     # -- elastic membership ----------------------------------------------------------------
     def server_by_id(self, server_id: int) -> ServerInstance:
         """Look a server up by its (stable) id rather than its (shifting) list index."""
-        for s in self._servers:
-            if s.server_id == server_id:
-                return s
-        raise KeyError(f"no server with id {server_id} in the cluster")
+        try:
+            return self._by_id[server_id]
+        except KeyError:
+            raise KeyError(f"no server with id {server_id} in the cluster") from None
 
     def reserve_server_id(self) -> int:
         """Claim the next fresh server id (used when billing starts before readiness)."""
@@ -152,7 +158,7 @@ class Cluster:
         """
         if server_id is None:
             server_id = self.reserve_server_id()
-        elif any(s.server_id == server_id for s in self._servers):
+        elif server_id in self._by_id:
             raise ValueError(f"server id {server_id} is already present in the cluster")
         itype = (
             self.config.catalog[instance_type]
@@ -166,7 +172,7 @@ class Cluster:
             dispatch_overhead_ms=self.dispatch_overhead_ms,
             commissioned_at_ms=float(now_ms),
         )
-        self._servers.append(server)
+        self._append(server)
         return server
 
     def drain_servers(self, type_name: str, count: int, now_ms: float) -> List[ServerInstance]:
@@ -188,6 +194,7 @@ class Cluster:
         """Decommission a server (it must exist); returns the removed instance."""
         server = self.server_by_id(server_id)
         self._servers.remove(server)
+        del self._by_id[server_id]
         return server
 
     def active_servers(self) -> List[ServerInstance]:

@@ -1,10 +1,19 @@
-"""Elastic serving simulation: provisioning events, draining, and online re-planning.
+"""The serving kernel: one event loop for static, elastic, and fault-injected runs.
 
-:class:`ElasticServingSimulation` generalizes :class:`~repro.sim.simulation.ServingSimulation`
-to clusters whose membership changes mid-run.  Everything — arrivals, completions, and
-the new provisioning events — flows through one :class:`~repro.sim.engine.EventQueue`
-under the existing ordering contract (completions before arrivals at equal
-timestamps), so elastic runs are exactly as deterministic as static ones.
+:class:`ElasticServingSimulation` serves a query stream on a cluster whose membership
+may change mid-run.  With no controller and no scripted events it is the *static*
+run the paper measures (:func:`~repro.sim.simulation.simulate_serving` and the
+capacity probes drive it that way); provisioning events, faults and re-plans are
+the same loop with more event kinds.  Everything except fresh arrivals flows through
+one :class:`~repro.sim.engine.EventQueue` under its ordering contract (time, then
+kind — completions before arrivals — then insertion), so every run is deterministic
+per seed.
+
+Fresh arrivals stream from the time-sorted input through a cursor instead of the
+heap.  Each one sorts as if it had been pushed before every other event: at equal
+``(time, kind)`` it comes ahead of any pushed event, so a backoff re-queue at the
+same instant joins the pending queue after it.  The run ends only once the cursor
+is exhausted.
 
 Lifecycle of a scale action:
 
@@ -23,21 +32,27 @@ Scheduling happens on an index-stable :class:`~repro.sim.cluster.ClusterView` of
 currently accepting servers, rebuilt (and the policy re-bound) whenever membership
 changes, so existing policies work unmodified.
 
-This is the one fault-tolerant event loop.  The multi-model loop
-(:mod:`repro.sim.multi_model`) and the spot loop (:mod:`repro.sim.preemption`) subclass
-it and override only the hooks below (model scoping, billing, scripted events), so
-every fault, retry, admission, health and hedge handler exists once.
+The multi-model loop (:mod:`repro.sim.multi_model`) and the spot loop
+(:mod:`repro.sim.preemption`) subclass the kernel and override only the hooks below
+(model scoping, billing, scripted events), so every fault, retry, admission, health
+and hedge handler exists once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cloud.billing import SPAN_HEDGE, SPAN_QUARANTINE, InstanceUsageLedger
-from repro.core.controller import ElasticKairosController, ReplanDecision
 from repro.sim.cluster import Cluster, ClusterView
-from repro.sim.engine import EventQueue, SimulationClock, no_progress_error, step_budget
+from repro.sim.engine import (
+    TIME_EPSILON_MS,
+    EventQueue,
+    SimulationClock,
+    no_progress_error,
+    step_budget,
+)
 from repro.sim.events import CrashStorm, Event, EventKind, ScaleRequest
 from repro.sim.faults import (
     AdmissionController,
@@ -62,6 +77,9 @@ from repro.sim.server import ServerInstance, ServiceNoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative
 from repro.workload.query import Query, check_serving_inputs
+
+if TYPE_CHECKING:  # the controller layer imports the simulator for its own runs
+    from repro.core.controller import ElasticKairosController, ReplanDecision
 
 
 def _probe_batches(max_batch: int) -> List[int]:
@@ -149,7 +167,7 @@ class ScaleLogEntry:
 
 @dataclass
 class ElasticSimulationReport:
-    """Everything an elastic serving run produced."""
+    """Everything a serving run produced (static runs included)."""
 
     metrics: ServingMetrics
     cluster: Cluster
@@ -180,6 +198,8 @@ class ElasticSimulationReport:
     hedges_cancelled: int = 0
     #: Hedge races won by the duplicate (the speculation paid off).
     hedge_wins: int = 0
+    #: The run stopped at the ``max_violations`` budget, before serving every query.
+    early_stopped: bool = False
 
     @property
     def quarantine_events(self) -> int:
@@ -188,7 +208,7 @@ class ElasticSimulationReport:
 
     @property
     def completed_all(self) -> bool:
-        return self.dispatched_queries == self.total_queries
+        return self.dispatched_queries == self.total_queries and not self.early_stopped
 
     @property
     def instance_failures(self) -> int:
@@ -198,6 +218,10 @@ class ElasticSimulationReport:
     def total_cost(self) -> float:
         """Dollar spend over the whole run (ledger integral to the run's end)."""
         return self.ledger.total_cost(self.billing_horizon_ms)
+
+    def utilization_by_type(self) -> Dict[str, float]:
+        """Mean busy share of each present instance type over the makespan."""
+        return self.cluster.utilization_by_type(self.simulated_duration_ms)
 
     def summary(self) -> Dict[str, float]:
         data = dict(self.metrics.summary())
@@ -210,7 +234,7 @@ class ElasticSimulationReport:
 
 
 class ElasticServingSimulation:
-    """Serve a query stream on a cluster that can grow and shrink mid-run.
+    """Serve a query stream on a cluster that can grow and shrink mid-run (the kernel).
 
     Parameters
     ----------
@@ -250,6 +274,14 @@ class ElasticServingSimulation:
         Optional :class:`~repro.sim.faults.AdmissionController` throttling each
         scheduling round's admitted concurrency from observed latency and shedding
         the lowest-value backlog overflow under overload.
+    max_violations:
+        Optional early-stop budget: once more than this many measured (post-warm-up)
+        completions have missed their QoS target, the run stops after the current
+        timestamp batch and reports ``early_stopped`` — the capacity search's cut-off
+        for probes that are already infeasible.
+    warmup_queries:
+        The first arrivals of each model are served but kept out of the metrics; they
+        cover the online latency learner's cold start.
     """
 
     def __init__(
@@ -272,6 +304,7 @@ class ElasticServingSimulation:
         gray_rng: RngLike = None,
         health: Optional[HealthConfig] = None,
         hedge: Optional[HedgePolicy] = None,
+        max_violations: Optional[int] = None,
     ):
         check_non_negative(startup_delay_ms, "startup_delay_ms")
         if warmup_queries < 0:
@@ -292,6 +325,9 @@ class ElasticServingSimulation:
         self.noise = noise
         self.rng = ensure_rng(rng)
         self.warmup_queries = int(warmup_queries)
+        self.max_violations = max_violations
+        #: measured completions past their QoS target (counted only with a budget)
+        self._violations = 0
         self.faults = faults
         self._fault_rng = ensure_rng(fault_rng)
         self.retry = retry
@@ -378,9 +414,9 @@ class ElasticServingSimulation:
             raise ValueError("scripted scale events must carry a ScaleRequest payload")
 
     def run(self, queries: Sequence[Query]) -> ElasticSimulationReport:
-        """Serve ``queries`` once.  Unlike :class:`~repro.sim.simulation.ServingSimulation`
-        this driver is one-shot: a run permanently mutates cluster membership and the
-        controller's observation history, so repeat runs must build fresh objects."""
+        """Serve ``queries`` once.  The driver is one-shot: a run permanently mutates
+        cluster membership and the controller's observation history, so repeat runs
+        must build fresh objects."""
         if self._ran:
             raise RuntimeError(
                 f"{type(self).__name__} is one-shot: cluster membership and "
@@ -402,8 +438,6 @@ class ElasticServingSimulation:
 
         clock = SimulationClock(0.0)
         events, pending = self._queues()
-        for q in ordered:
-            events.push(Event(q.arrival_time_ms, EventKind.QUERY_ARRIVAL, q))
         events.push_all(self.scripted_events)
         ledger = InstanceUsageLedger(self._catalog())
         self._open_initial_billing(ledger, events)
@@ -433,61 +467,108 @@ class ElasticServingSimulation:
         rounds = 0
         peak = len(self.cluster)
         view = self.cluster.active_view()
+        schedulable = len(view)
         self._bind(view)
         max_steps = step_budget(n, self.retry)
         steps = 0
         # fixed for the run: every input (faults, retry, monitor, hedges, a
         # subclass's market) is set at construction
         idle_kinds = frozenset(self._idle_timer_kinds())
+        # fresh arrivals not yet admitted are ordered[cursor:] (see module docstring)
+        arrival_times = [q.arrival_time_ms for q in ordered]
+        cursor = 0
+        early_stopped = False
 
-        while events:
+        controller = self.controller
+        max_violations = self.max_violations
+        while cursor < n or events:
             steps += 1
             if steps > max_steps:
                 raise no_progress_error(
-                    self.policy, max_steps, clock.now_ms, pending, events
+                    self.policy, max_steps, clock.now_ms, pending, events, n - cursor
                 )
-            now = clock.advance_to(events.peek_time())
+            next_event = events.peek_time()
+            if cursor < n and (next_event is None or arrival_times[cursor] <= next_event):
+                now = clock.advance_to(arrival_times[cursor])
+            else:
+                now = clock.advance_to(next_event)
+            # this instant's fresh arrivals: ordered[fresh:cursor]
+            fresh = cursor
+            limit = now + TIME_EPSILON_MS
+            while cursor < n and arrival_times[cursor] <= limit:
+                cursor += 1
             membership_changed = False
-            saw_arrival = False
+            saw_arrival = cursor > fresh
 
             # Drain the whole timestamp batch; handlers may push follow-up events at
             # `now` (a replan's scale requests), which the inner loop picks up before
             # the scheduling round so new decisions act in the same instant.
             batch = events.pop_batch(now)
-            while batch:
+            while True:
+                pushed = events.pushed
                 for event in batch:
-                    kind_changed, kind_arrival = self._handle(
+                    if fresh < cursor:
+                        # fresh arrivals sorting before this event go first: every
+                        # one earlier in time, and at equal time all but completions
+                        split = (
+                            bisect_left
+                            if event.kind == EventKind.SERVICE_COMPLETION
+                            else bisect_right
+                        )
+                        stop = split(arrival_times, event.time_ms, fresh, cursor)
+                        for query in ordered[fresh:stop]:
+                            if controller is not None:
+                                controller.observe_arrival(query, now)
+                            pending.append(query)
+                        fresh = stop
+                    changed, arrival = self._handle(
                         event, now, metrics, ledger, scale_log, warmup_ids, events
                     )
-                    membership_changed = membership_changed or kind_changed
-                    saw_arrival = saw_arrival or kind_arrival
-                    if kind_arrival:
+                    if changed:
+                        membership_changed = True
+                    if arrival:
+                        saw_arrival = True
                         pending.append(event.payload)
+                # the rest of the instant's fresh arrivals; the controller observes
+                # each as offered load (re-queues arrive through _handle, unobserved)
+                while fresh < cursor:
+                    query = ordered[fresh]
+                    if controller is not None:
+                        controller.observe_arrival(query, now)
+                    pending.append(query)
+                    fresh += 1
                 # The controller reacts right after the arrivals of this instant are
                 # observed — the one-shot re-plan (Fig. 12) happens inside the event
                 # loop, not between runs.  Replan BEFORE re-popping: the decision's
                 # same-instant scale events must land in the next inner batch, or an
                 # empty re-pop would strand them past this round and the outer loop
                 # would re-wake at the same `now` for a duplicate scheduling round.
-                if saw_arrival and self.controller is not None:
-                    decision = self.controller.maybe_replan(now)
+                if controller is not None and saw_arrival:
+                    decision = controller.maybe_replan(now)
                     if decision is not None:
                         replans.append(decision)
                         self._emit_scale_events(decision, now, events)
                     saw_arrival = False
+                # a same-instant follow-up can only come from a push since the pop
+                if events.pushed == pushed:
+                    break
                 batch = events.pop_batch(now)
+            if max_violations is not None and self._violations > max_violations:
+                early_stopped = True
+                break
 
             if membership_changed:
                 view = self.cluster.active_view()
+                schedulable = len(view)
                 # A fully drained fleet leaves nothing to bind or schedule; queries
                 # wait centrally until an INSTANCE_READY brings capacity back (the
                 # next membership change re-binds).
-                if len(view):
+                if schedulable:
                     self._bind(view)
                 peak = max(peak, len(self.cluster))
 
             # scheduling round over the accepting servers (behind the admission valve)
-            if pending and len(view):
+            if pending and schedulable:
                 admitted = self._admit(pending, now, events)
                 if admitted:
                     assignments = self.policy.schedule(now, admitted, view)
@@ -509,6 +590,7 @@ class ElasticServingSimulation:
             # watchdog voids the attempt to a terminal outcome.
             if (
                 pending
+                and cursor == n
                 and not self._zombie_attempts
                 and (not events or events.only_kinds(idle_kinds))
             ):
@@ -546,6 +628,7 @@ class ElasticServingSimulation:
             hedges_launched=self.hedges_launched,
             hedges_cancelled=self.hedges_cancelled,
             hedge_wins=self.hedge_wins,
+            early_stopped=early_stopped,
         )
 
     # -- subclass hooks -----------------------------------------------------------------
@@ -607,9 +690,6 @@ class ElasticServingSimulation:
         like-for-like replacement."""
         return self.cluster
 
-    def _check_assignments(self, assignments, view) -> None:
-        """Reject a round's assignments before any is committed (no-op here)."""
-
     def _open_initial_billing(self, ledger: InstanceUsageLedger, events: EventQueue) -> None:
         """Open billing for the initial fleet (``events`` lets subclasses arm timers)."""
         for server in self.cluster:
@@ -631,11 +711,6 @@ class ElasticServingSimulation:
     ) -> None:
         """Called once a provisioned instance joins the schedulable set."""
         self._arm_fault_timers(server_id, type_name, now, events)
-
-    def _after_dispatch(self, record: QueryRecord) -> None:
-        """Called for every committed dispatch, before its completion is scheduled."""
-        if self._track_inflight:
-            self._inflight.setdefault(record.server_id, []).append(record)
 
     def _market_label(self, server_id: int) -> str:
         """Purchase market of a crashed instance's like-for-like replacement."""
@@ -1216,7 +1291,7 @@ class ElasticServingSimulation:
             completion_ms=completion,
             service_ms=service,
         )
-        self._after_dispatch(duplicate)
+        self._inflight.setdefault(duplicate.server_id, []).append(duplicate)
         self._hedge_extra_dispatches += 1
         self.hedges_launched += 1
         self._hedge_pairs[qid] = (record, duplicate)
@@ -1325,57 +1400,68 @@ class ElasticServingSimulation:
         """Apply one event; returns ``(membership_changed, was_arrival)``."""
         if event.kind == EventKind.SERVICE_COMPLETION:
             record: QueryRecord = event.payload
-            if id(record) in self._killed:
-                # the server died mid-service; the attempt was voided and this
-                # completion never happened
-                self._killed.discard(id(record))
-                return False, False
-            timed_out = id(record) in self._timed_out
-            absorbed = id(record) in self._absorbed
-            # a swallowed completion drains the server's local queue (the GPU
-            # finished the work) but the client path already moved on — timeout
-            # abandonments and cancelled hedge/stuck attempts alike
-            swallowed = timed_out or absorbed
-            if swallowed:
-                self._timed_out.discard(id(record))
-                self._absorbed.discard(id(record))
-                try:
-                    self.cluster.server_by_id(record.server_id)
-                except KeyError:
-                    # The abandoned attempt's server crashed after the timeout
-                    # (the crash could not void the record: the timeout had
-                    # already pulled it out of the in-flight set), so this
-                    # phantom completion has no server left to account against.
+            # Without in-flight tracking nothing can be killed, timed out, absorbed
+            # or hedged, so every completion is genuine and that bookkeeping is
+            # skipped (the static hot path).
+            swallowed = False
+            if self._track_inflight:
+                if id(record) in self._killed:
+                    # the server died mid-service; the attempt was voided and this
+                    # completion never happened
+                    self._killed.discard(id(record))
                     return False, False
-            else:
-                inflight = self._inflight.get(record.server_id)
-                if inflight is not None:
-                    inflight.remove(record)
-                    if not inflight:
-                        del self._inflight[record.server_id]
-                self._settle_outstanding(events)
+                # a swallowed completion drains the server's local queue (the GPU
+                # finished the work) but the client path already moved on — timeout
+                # abandonments and cancelled hedge/stuck attempts alike
+                swallowed = id(record) in self._timed_out or id(record) in self._absorbed
+                if swallowed:
+                    self._timed_out.discard(id(record))
+                    self._absorbed.discard(id(record))
+                    try:
+                        self.cluster.server_by_id(record.server_id)
+                    except KeyError:
+                        # The abandoned attempt's server crashed after the timeout
+                        # (the crash could not void the record: the timeout had
+                        # already pulled it out of the in-flight set), so this
+                        # phantom completion has no server left to account against.
+                        return False, False
+                else:
+                    inflight = self._inflight.get(record.server_id)
+                    if inflight is not None:
+                        inflight.remove(record)
+                        if not inflight:
+                            del self._inflight[record.server_id]
             server = self.cluster.server_by_id(record.server_id)
             server.complete_one()
             health_changed = False
             if not swallowed:
-                pair = self._hedge_pairs.pop(record.query.query_id, None)
-                if pair is not None:
-                    # first genuine completion wins the race; the partner is
-                    # cancelled and its partial occupancy billed as hedge cost
-                    primary, duplicate = pair
-                    if record is duplicate:
-                        self.hedge_wins += 1
-                        self._cancel_hedge_loser(primary, now, ledger)
-                    else:
-                        self._cancel_hedge_loser(duplicate, now, ledger)
+                if self._outstanding > 1:
+                    self._outstanding -= 1  # _settle_outstanding's common case
+                else:
+                    self._settle_outstanding(events)
                 if record.query.query_id not in warmup_ids:
                     metrics.record(record)
+                    if self.max_violations is not None and not record.meets_qos(
+                        self._partition_of(record.server_id).model.qos_ms
+                    ):
+                        self._violations += 1
                     if self.admission is not None:
                         self.admission.observe_latency(record.latency_ms)
                 self.policy.observe_completion(record)
-                health_changed = self._observe_health(
-                    record, server, now, events, ledger, scale_log
-                )
+                if self._track_inflight:
+                    pair = self._hedge_pairs.pop(record.query.query_id, None)
+                    if pair is not None:
+                        # first genuine completion wins the race; the partner is
+                        # cancelled and its partial occupancy billed as hedge cost
+                        primary, duplicate = pair
+                        if record is duplicate:
+                            self.hedge_wins += 1
+                            self._cancel_hedge_loser(primary, now, ledger)
+                        else:
+                            self._cancel_hedge_loser(duplicate, now, ledger)
+                    health_changed = self._observe_health(
+                        record, server, now, events, ledger, scale_log
+                    )
             if server.drained:
                 self.cluster.remove_server(server.server_id)
                 ledger.stop(server.server_id, now)
@@ -1570,20 +1656,20 @@ class ElasticServingSimulation:
         now: float,
         events: EventQueue,
     ) -> int:
-        self._check_assignments(assignments, view)
-        count = 0
+        noise, rng, push = self.noise, self.rng, events.push
+        completion_kind = EventKind.SERVICE_COMPLETION
+        size = len(view)
+        track = self._track_inflight
         for query, server_idx in assignments:
             if query.query_id not in pending:
                 raise ValueError(
                     f"policy assigned query {query.query_id}, which is not pending"
                 )
-            if not 0 <= server_idx < len(view):
+            if not 0 <= server_idx < size:
                 raise ValueError(f"policy assigned an unknown server index {server_idx}")
             pending.remove(query.query_id)
             server = view[server_idx]
-            start, completion, service = server.dispatch(
-                query, now, noise=self.noise, rng=self.rng
-            )
+            start, completion, service = server.dispatch(query, now, noise=noise, rng=rng)
             record = QueryRecord(
                 query=query,
                 server_id=server.server_id,
@@ -1592,25 +1678,38 @@ class ElasticServingSimulation:
                 completion_ms=completion,
                 service_ms=service,
             )
-            self._after_dispatch(record)
-            zombie = server.server_id in self._zombie_ids
-            if zombie:
-                # a zombie accepts the dispatch but never emits its completion:
-                # the attempt resolves only through a watchdog (health check,
-                # response timeout, quarantine void, or a winning hedge partner)
-                self._zombie_attempts.add(id(record))
+            if track:
+                self._track_dispatch(record, now, events)
             else:
-                events.push(Event(completion, EventKind.SERVICE_COMPLETION, record))
-            timeout = self.retry.response_timeout_ms if self.retry is not None else None
-            if timeout is not None and (zombie or completion - now > timeout):
-                # the deadline will elapse strictly before the completion: arm the
-                # abandon timer (never armed when the attempt will make it in time;
-                # a zombie attempt never makes it, so it is always armed)
-                events.push(Event(now + timeout, EventKind.RESPONSE_TIMEOUT, record))
-            if self.monitor is not None or self.hedges is not None:
-                self._arm_watchdogs(record, now, completion, events)
-            count += 1
-        return count
+                push(Event(completion, completion_kind, record))
+        return len(assignments)
+
+    def _track_dispatch(
+        self, record: QueryRecord, now: float, events: EventQueue
+    ) -> None:
+        """Book one dispatch for voiding, schedule its completion, arm its timers.
+
+        Only runs with in-flight tracking on: without it nothing can void an
+        attempt, so there is no zombie, response deadline or watchdog to arm.
+        """
+        self._inflight.setdefault(record.server_id, []).append(record)
+        completion = record.completion_ms
+        zombie = record.server_id in self._zombie_ids
+        if zombie:
+            # a zombie accepts the dispatch but never emits its completion: the
+            # attempt resolves only through a watchdog (health check, response
+            # timeout, quarantine void, or a winning hedge partner)
+            self._zombie_attempts.add(id(record))
+        else:
+            events.push(Event(completion, EventKind.SERVICE_COMPLETION, record))
+        timeout = self.retry.response_timeout_ms if self.retry is not None else None
+        if timeout is not None and (zombie or completion - now > timeout):
+            # the deadline will elapse strictly before the completion: arm the
+            # abandon timer (never armed when the attempt will make it in time; a
+            # zombie attempt never makes it, so it is always armed)
+            events.push(Event(now + timeout, EventKind.RESPONSE_TIMEOUT, record))
+        if self.monitor is not None or self.hedges is not None:
+            self._arm_watchdogs(record, now, completion, events)
 
 
 def simulate_elastic_serving(
@@ -1621,6 +1720,6 @@ def simulate_elastic_serving(
     controller: Optional[ElasticKairosController] = None,
     **kwargs,
 ) -> ElasticSimulationReport:
-    """Convenience wrapper mirroring :func:`~repro.sim.simulation.simulate_serving`."""
+    """Build an :class:`ElasticServingSimulation` (``kwargs`` are its options) and run it."""
     sim = ElasticServingSimulation(cluster, policy, controller=controller, **kwargs)
     return sim.run(queries)

@@ -36,11 +36,18 @@ def step_budget(num_queries: int, retry=None) -> int:
     return STEPS_PER_QUERY * num_queries * attempts + STEP_BUDGET_SLACK
 
 
-def no_progress_error(policy, max_steps: int, now_ms: float, pending, events):
+def no_progress_error(
+    policy, max_steps: int, now_ms: float, pending, events, arrivals: int = 0
+):
     """The loops' error past their step budget, naming the stuck state: simulated
-    time, the pending queries (count and first ids), the queued events by kind."""
+    time, the pending queries (count and first ids), the queued events by kind.
+    ``arrivals`` fresh arrivals still in the input stream count as queued
+    ``QUERY_ARRIVAL`` events."""
     first_ids = [query.query_id for query in islice(pending, 5)]
-    kinds = ", ".join(f"{k} x{c}" for k, c in sorted(events.kind_counts().items()))
+    counts = events.kind_counts()
+    if arrivals:
+        counts["QUERY_ARRIVAL"] += arrivals
+    kinds = ", ".join(f"{k} x{c}" for k, c in sorted(counts.items()))
     return RuntimeError(
         f"simulation exceeded {max_steps} steps; the scheduling policy "
         f"{type(policy).__name__} appears to be making no progress at "
@@ -81,7 +88,8 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: List[Tuple[tuple, Event]] = []
-        self._sequence = 0
+        #: events pushed so far, which is also the next insertion sequence number
+        self.pushed = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -91,8 +99,8 @@ class EventQueue:
 
     def push(self, event: Event) -> None:
         """Insert an event."""
-        heapq.heappush(self._heap, (event.sort_key(self._sequence), event))
-        self._sequence += 1
+        heapq.heappush(self._heap, (event.sort_key(self.pushed), event))
+        self.pushed += 1
 
     def push_all(self, events) -> None:
         for event in events:

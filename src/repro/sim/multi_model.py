@@ -152,8 +152,9 @@ class MultiModelServingSimulation(ElasticServingSimulation):
         """Quarantine guards, hedges and replacements stay inside one model's partition."""
         return self.cluster.cluster_of(self.cluster.model_of_server(server_id))
 
-    def _check_assignments(self, assignments, view) -> None:
-        """A query only ever runs on a server hosting its own model."""
+    def _commit(self, assignments, pending, view, now: float, events: EventQueue) -> int:
+        """A query only ever runs on a server hosting its own model: a round that
+        breaks this is rejected before any of its assignments is committed."""
         server_models = view.server_models()
         for query, server_idx in assignments:
             if (
@@ -165,6 +166,7 @@ class MultiModelServingSimulation(ElasticServingSimulation):
                     f"policy assigned query {query.query_id} ({query.model_name}) to a "
                     f"server hosting {server_models[server_idx]}"
                 )
+        return super()._commit(assignments, pending, view, now, events)
 
     def _emit_scale_events(self, decision, now: float, events: EventQueue) -> None:
         """Turn a joint re-plan into per-(model, type) provisioning events.

@@ -128,7 +128,8 @@ class ShardedEventQueue:
     def __init__(self, shard_key: Optional[ShardKey] = None) -> None:
         self._shard_key: ShardKey = shard_key or shard_key_by_kind
         self._shards: Dict[object, List[Tuple[tuple, Event]]] = {}
-        self._sequence = 0  # global: makes sort keys unique across shards
+        #: events pushed so far; global, so sort keys are unique across shards
+        self.pushed = 0
         self.clock = ShardClock()
 
     def __len__(self) -> int:
@@ -148,8 +149,8 @@ class ShardedEventQueue:
     def push(self, event: Event) -> None:
         """Insert an event into its shard; sequence numbers are global."""
         heap = self._shards.setdefault(self._shard_key(event), [])
-        heapq.heappush(heap, (event.sort_key(self._sequence), event))
-        self._sequence += 1
+        heapq.heappush(heap, (event.sort_key(self.pushed), event))
+        self.pushed += 1
 
     def push_all(self, events) -> None:
         for event in events:

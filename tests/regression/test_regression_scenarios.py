@@ -331,6 +331,52 @@ class TestCheckersDetectCorruption:
         )
 
 
+class TestStaticRunBilling:
+    """A static run is the serving kernel on a fixed fleet, so it reports a ledger
+    (one ``[0, horizon]`` interval per server) and the billing invariants evaluate
+    it instead of skipping a ledger-less report."""
+
+    @pytest.fixture(scope="class")
+    def static_clean(self):
+        result = run_scenario(_load("static-overload-bursty.json"))
+        assert not result.violations
+        return result
+
+    def test_fixed_fleet_billed_over_the_horizon(self, static_clean):
+        report = static_clean.report
+        horizon = report.billing_horizon_ms
+        intervals = report.ledger.intervals
+        assert horizon > 0
+        assert sorted(iv.server_id for iv in intervals) == sorted(
+            s.server_id for s in report.cluster
+        )
+        assert all(iv.start_ms == 0.0 and iv.end_ms == horizon for iv in intervals)
+        assert not check_budget_conservation(static_clean)
+        assert not check_ledger_partition_exactness(static_clean)
+
+    def test_budget_conservation_flags_shifted_interval(self, static_clean):
+        report = static_clean.report
+        ledger = report.ledger
+        horizon = report.billing_horizon_ms
+        first = ledger.intervals[0]
+        shift = 0.5 * horizon
+        shifted = dataclasses.replace(
+            first, start_ms=first.start_ms + shift, end_ms=first.end_ms + shift
+        )
+        fake_ledger = SimpleNamespace(
+            intervals=[shifted] + ledger.intervals[1:], total_cost=ledger.total_cost
+        )
+        corrupted = SimpleNamespace(
+            spec=static_clean.spec,
+            report=SimpleNamespace(
+                ledger=fake_ledger, billing_horizon_ms=horizon, scale_log=report.scale_log
+            ),
+            ledger=fake_ledger,
+        )
+        violations = check_budget_conservation(corrupted)
+        assert any("outside the horizon" in v.message for v in violations)
+
+
 def _clean_chaos_result():
     return run_scenario(_load("chaos-elastic-storm-retry.json"))
 

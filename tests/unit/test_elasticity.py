@@ -15,6 +15,7 @@ from repro.core.controller import (
     ElasticKairosController,
     migration_deltas,
 )
+from repro.schedulers.fcfs import RibbonFCFSPolicy
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.elasticity import (
@@ -25,6 +26,7 @@ from repro.sim.elasticity import (
     simulate_elastic_serving,
 )
 from repro.sim.events import Event, EventKind, ScaleRequest
+from repro.sim.faults import RetryPolicy
 from repro.workload.batch_sizes import TruncatedLogNormalBatchSizes
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 from repro.workload.phases import LoadPhase, PhasedTrace
@@ -743,3 +745,91 @@ class TestElasticServingSimulation:
         # all elasticity traffic flowed through the event queue's ordering contract:
         # records are complete and the clock-dependent summary is reproducible
         assert a.completed_all
+
+
+# -- equal-instant ordering of fresh arrivals -------------------------------------------
+
+
+class _LoggedSimulation(ElasticServingSimulation):
+    """Logs every handled event into ``log``, in order."""
+
+    def __init__(self, log, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def _handle(self, event, now, *args):
+        payload = event.payload
+        tag = getattr(payload, "query", payload)
+        tag = getattr(tag, "query_id", getattr(tag, "type_name", None))
+        self.log.append((now, event.kind.name, tag))
+        return super()._handle(event, now, *args)
+
+
+class _ArrivalLog:
+    """A controller stand-in that logs each fresh arrival it observes, never re-plans."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def observe_arrival(self, query, now_ms):
+        self.log.append((now_ms, "fresh", query.query_id))
+
+    def maybe_replan(self, now_ms):
+        return None
+
+
+class _PendingRecorder(RibbonFCFSPolicy):
+    """FCFS that records the pending queue's order at every scheduling round."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds = []
+
+    def schedule(self, now_ms, pending, cluster):
+        self.rounds.append((now_ms, [q.query_id for q in pending]))
+        return super().schedule(now_ms, pending, cluster)
+
+
+class TestEqualInstantArrivalOrder:
+    """At t=30 ms a completion, a fresh arrival, a backoff re-queue and a scripted
+    SCALE_UP coincide: they run in (time, kind, insertion) order, and a fresh
+    arrival sorts as if pushed before every other event, so it joins the pending
+    queue ahead of the re-queue."""
+
+    def test_handling_and_pending_order(self, profiles, catalog):
+        services = iter([50.0, 5.0])  # query 1, then query 2; 5 ms afterwards
+
+        def service(latency_ms, rng):
+            return next(services, 5.0)
+
+        cluster = Cluster(
+            HeterogeneousConfig((2, 0, 0, 0), catalog), profiles.models["RM2"], profiles
+        )
+        policy = _PendingRecorder()
+        log = []
+        sim = _LoggedSimulation(
+            log,
+            cluster,
+            policy,
+            controller=_ArrivalLog(log),
+            noise=service,
+            rng=0,
+            # query 1's 50 ms attempt is abandoned at 10 ms and re-queued at 30 ms
+            retry=RetryPolicy(
+                max_attempts=2, backoff_base_ms=20.0, response_timeout_ms=10.0
+            ),
+            scripted_events=[
+                Event(30.0, EventKind.SCALE_UP, ScaleRequest("r5n.large", 1))
+            ],
+        )
+        report = sim.run([_query(1, 10, 0.0), _query(2, 10, 25.0), _query(3, 10, 30.0)])
+        at_30 = [entry[1:] for entry in log if entry[0] == 30.0]
+        assert at_30 == [
+            ("SERVICE_COMPLETION", 2),  # query 2 ran 25 -> 30 ms
+            ("fresh", 3),
+            ("QUERY_ARRIVAL", 1),  # the re-queue, pushed at 10 ms
+            ("SCALE_UP", "r5n.large"),
+        ]
+        assert (30.0, [3, 1]) in policy.rounds
+        assert report.retries == 1
+        assert report.completed_all

@@ -29,7 +29,7 @@ from repro.sim.elasticity import ElasticServingSimulation
 from repro.sim.events import Event, EventKind, ScaleRequest
 from repro.sim.multi_model import MultiModelServingSimulation
 from repro.sim.preemption import PreemptibleElasticSimulation
-from repro.sim.simulation import ServingSimulation
+from repro.sim.simulation import simulate_serving
 from repro.workload.query import Query, check_serving_inputs
 
 DUPLICATE = "duplicate query id 7"
@@ -62,6 +62,13 @@ def rm2_cluster(profiles, catalog, counts=(1, 0, 3, 0)):
     return Cluster(HeterogeneousConfig(counts, catalog), profiles.models["RM2"], profiles)
 
 
+def static_run(profiles, catalog, queries):
+    """The static entry point: the serving kernel on a fixed RM2 fleet."""
+    config = HeterogeneousConfig((1, 0, 3, 0), catalog)
+    rm2 = profiles.models["RM2"]
+    return simulate_serving(config, rm2, profiles, NeverSchedules(), queries)
+
+
 def two_model_cluster(profiles, catalog, rm2_counts=(1, 1, 2, 0)):
     return MultiModelCluster(
         {
@@ -74,9 +81,8 @@ def two_model_cluster(profiles, catalog, rm2_counts=(1, 1, 2, 0)):
 
 class TestDuplicateQueryIds:
     def test_static_loop(self, profiles, catalog):
-        sim = ServingSimulation(rm2_cluster(profiles, catalog), NeverSchedules())
         with pytest.raises(ValueError, match=DUPLICATE):
-            sim.run(stream())
+            static_run(profiles, catalog, stream())
 
     def test_elastic_loop(self, profiles, catalog):
         sim = ElasticServingSimulation(rm2_cluster(profiles, catalog), NeverSchedules())
@@ -143,9 +149,8 @@ SCALE_TO_UNKNOWN_TYPE = Event(50.0, EventKind.SCALE_UP, ScaleRequest("p3.2xlarge
 
 class TestUnknownTargets:
     def test_static_loop(self, profiles, catalog):
-        sim = ServingSimulation(rm2_cluster(profiles, catalog), NeverSchedules())
         with pytest.raises(ValueError, match=UNKNOWN_MODEL):
-            sim.run(tagged("RM2"))
+            static_run(profiles, catalog, tagged("RM2"))
 
     def test_elastic_loop(self, profiles, catalog):
         sim = ElasticServingSimulation(rm2_cluster(profiles, catalog), NeverSchedules())
@@ -215,8 +220,10 @@ def build_loop(loop, profiles, catalog, events, empty=False):
     ``empty`` gives the (first) model an all-zero partition.
     """
     counts = (0, 0, 0, 0) if empty else (1, 0, 3, 0)
-    if loop == "static":
-        return ServingSimulation(rm2_cluster(profiles, catalog, counts), NeverSchedules())
+    if loop == "static":  # the kernel with no controller and no scripted events
+        return ElasticServingSimulation(
+            rm2_cluster(profiles, catalog, counts), NeverSchedules()
+        )
     if loop == "elastic":
         return ElasticServingSimulation(
             rm2_cluster(profiles, catalog, counts), NeverSchedules(), scripted_events=events

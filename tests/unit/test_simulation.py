@@ -1,4 +1,4 @@
-"""Tests for repro.sim.simulation."""
+"""Tests for repro.sim.simulation (static runs of the serving kernel)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ import pytest
 from repro.cloud.config import HeterogeneousConfig
 from repro.schedulers.fcfs import RibbonFCFSPolicy
 from repro.schedulers.kairos_policy import KairosPolicy
-from repro.sim.simulation import ServingSimulation, simulate_serving
+from repro.sim.elasticity import ElasticServingSimulation
+from repro.sim.simulation import simulate_serving
 from repro.sim.cluster import Cluster
 from repro.workload.generator import queries_from_batches
 from repro.workload.query import Query
@@ -145,7 +146,10 @@ class TestPolicyContractEnforcement:
         # the simulation ends without serving anything rather than hanging
         assert len(report.metrics) == 0
         assert not report.completed_all
+        # both queries arrived before the run ended: the second is still in the
+        # arrival stream when the first round declines, and must not be lost
+        assert report.unserved_queries == 2
 
     def test_invalid_warmup(self, single_gpu_config, rm2, profiles, rm2_cluster):
         with pytest.raises(ValueError):
-            ServingSimulation(rm2_cluster, RibbonFCFSPolicy(), warmup_queries=-1)
+            ElasticServingSimulation(rm2_cluster, RibbonFCFSPolicy(), warmup_queries=-1)

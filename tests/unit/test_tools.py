@@ -30,13 +30,13 @@ EXPECTED_SEAMS = {
         "column refresh (incremental)",
         "single-query scorer",
         "latency prediction (scalar)",
-        "dispatch commit (elastic)",
+        "dispatch commit",
     ),
     "gray": (
         "policy schedule (whole round)",
         "column refresh (incremental)",
         "single-query scorer",
-        "dispatch commit (elastic)",
+        "dispatch commit",
         "health scoring (completions)",
         "health check handler",
     ),

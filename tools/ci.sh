@@ -20,7 +20,10 @@
 # replay of the committed gray scenarios; and the `perfbench-smoke` stage, a
 # tiny untraced and traced run of every workload of the repository benchmark
 # (perfbench/run.py --smoke), which fails on an invariant violation or a
-# simulated outcome that differs between runs.  A final clean-tree check repeats
+# simulated outcome that differs between runs; and the `examples-smoke` stage,
+# which runs every examples/*.py script (the public simulate_serving,
+# simulate_elastic_serving and measure_allowable_throughput entry points at
+# their built-in scaled-down settings).  A final clean-tree check repeats
 # the first one over the whole run, so a full CI pass leaves tracked files
 # untouched.
 #
@@ -81,6 +84,12 @@ python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
 
 echo "== perfbench-smoke: the repository benchmark's untraced and traced smoke run =="
 python3 perfbench/run.py --smoke > /dev/null
+
+echo "== examples-smoke: every example script runs to completion =="
+for example in examples/*.py; do
+    echo "   $example"
+    python "$example" > /dev/null
+done
 
 echo "== clean-tree: the whole run must not modify tracked files =="
 check_clean_tree "the CI run"

@@ -58,7 +58,6 @@ def _instrument():
     import repro.schedulers.kairos_policy as kairos_policy
     import repro.sim.elasticity as elasticity
     import repro.sim.health as health
-    import repro.sim.simulation as simulation
     from repro.core.latency_model import OnlineLatencyEstimator
     from repro.pipeline.runtime import PipelineCoordinator
 
@@ -92,10 +91,10 @@ def _instrument():
     timers.append(solve_timer)
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
     seam("latency prediction (scalar)", OnlineLatencyEstimator, "predict_ms")
-    seam("dispatch commit", simulation.ServingSimulation, "_commit")
-    # the elastic, spot, multi-model and pipeline loops share one _commit and one
-    # set of gray-failure handlers, so each seam below times all four loops
-    seam("dispatch commit (elastic)", elasticity.ElasticServingSimulation, "_commit")
+    # every loop (static, elastic, spot, multi-model, pipeline) runs the serving
+    # kernel's one _commit and one set of gray-failure handlers, so each seam
+    # below times all of them
+    seam("dispatch commit", elasticity.ElasticServingSimulation, "_commit")
     # gray-failure seams: health scoring on every completion, the check/probe
     # handlers, quarantine side effects, and the hedge race machinery
     seam("health scoring (completions)", health.ServerHealthMonitor, "observe_completion")
@@ -117,7 +116,7 @@ def _run_serving(preset: str, repeats: int) -> tuple:
     from repro.cloud.profiles import default_profile_registry
     from repro.schedulers.kairos_policy import KairosPolicy
     from repro.sim.cluster import Cluster
-    from repro.sim.simulation import ServingSimulation
+    from repro.sim.elasticity import ElasticServingSimulation
     from repro.workload.batch_sizes import TruncatedLogNormalBatchSizes
     from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -134,7 +133,7 @@ def _run_serving(preset: str, repeats: int) -> tuple:
     rounds = 0
     start = time.perf_counter()
     for _ in range(repeats):
-        sim = ServingSimulation(
+        sim = ElasticServingSimulation(
             Cluster(config, model, profiles),
             KairosPolicy(),
             rng=np.random.default_rng(SEED + 1),
