@@ -249,7 +249,13 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
                 event, now, metrics, ledger, scale_log, warmup_ids, events
             )
             if changed:
-                self._spot_ids.discard(event.payload.server_id)
+                # a decommission leaves the spot set; a quarantine (also a
+                # membership change) keeps the instance revocable
+                server_id = event.payload.server_id
+                try:
+                    self.cluster.server_by_id(server_id)
+                except KeyError:
+                    self._spot_ids.discard(server_id)
             return changed, arrival
 
         if event.kind == EventKind.PREEMPTION_WARNING:
@@ -300,7 +306,9 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
         """Start deadline-bounded draining; returns True when membership changed."""
         self._warned.add(server.server_id)
         was_accepting = server.accepting
-        if was_accepting:
+        if not server.draining:
+            # a quarantined victim drains too, so a probation probe inside the
+            # warning window cannot re-admit it
             server.start_draining()
         events.push(
             Event(

@@ -11,6 +11,8 @@ from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.elasticity import scale_down_priority
 from repro.sim.events import Event, EventKind, PreemptionBurst, ScaleRequest
+from repro.sim.faults import FaultInjector, FaultProfile
+from repro.sim.health import HealthConfig
 from repro.sim.preemption import (
     PreemptibleElasticSimulation,
     initial_spot_server_ids,
@@ -196,6 +198,51 @@ class TestPreemptionLifecycle:
         )
         assert "scale_up" not in _kinds(report)
         assert report.completed_all  # the on-demand base absorbs everything
+
+
+class TestQuarantinedSpotInstances:
+    def test_quarantined_spot_instance_is_still_warned_and_killed(
+        self, profiles, rm2, catalog
+    ):
+        """A quarantine reported by a completion keeps the instance on the spot
+        market: a later burst still warns it, and the kill removes it and stops
+        its bill (it is not left serving past its reclaim, nor skipped)."""
+        cluster = Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles)
+        events = [
+            Event(
+                1500.0,
+                EventKind.PREEMPTION_WARNING,
+                PreemptionBurst(count=2, type_name="r5n.large"),
+            )
+        ]
+        sim = PreemptibleElasticSimulation(
+            cluster,
+            KairosPolicy(),
+            market=_market(catalog, warning_ms=100.0),
+            spot_server_ids=[1, 2],
+            scripted_events=events,
+            faults=FaultInjector(
+                [FaultProfile("r5n.large", degradations_per_hour=3600.0, degradation_factor=4.0)]
+            ),
+            health=HealthConfig(min_samples=3, degrade_ratio=1.8, probation_ms=60_000.0),
+            gray_rng=np.random.default_rng(1),
+            rng=np.random.default_rng(1),
+        )
+        report = sim.run(_queries(num=120, rate=60.0, median=30))
+        quarantines = [e for e in report.scale_log if e.kind == "quarantine"]
+        # non-vacuous: the spot instance was quarantined by a completion first
+        assert [(e.reason, e.time_ms < 1500.0) for e in quarantines] == [
+            ("server2:degraded", True)
+        ]
+        warned = [e for e in report.scale_log if e.kind == "preemption_warning"]
+        assert [e.time_ms for e in warned] == [1500.0, 1500.0]
+        assert _kinds(report).count("preempted") == 2
+        assert not {1, 2} & {s.server_id for s in report.cluster}
+        spot_ends = {
+            iv.server_id: iv.end_ms for iv in report.ledger.intervals if iv.market == MARKET_SPOT
+        }
+        assert spot_ends[2] == pytest.approx(1600.0)
+        assert report.completed_all
 
 
 class TestBurstVictimOrdering:
