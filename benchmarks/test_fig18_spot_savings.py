@@ -14,7 +14,6 @@ from repro.analysis.spot import fig18_spot_savings
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.elasticity import simulate_elastic_serving
-from repro.sim.preemption import simulate_preemptible_serving
 
 #: "Serves QoS" for this scenario: at least this fraction of each window's arrivals
 #: completes within the QoS target (the Eq. 15 headroom factors are calibrated for
@@ -70,11 +69,12 @@ def test_fig18_spot_savings(record_figure, fast_settings):
 
 @pytest.mark.smoke
 def test_spot_disabled_path_is_byte_identical(fast_settings):
-    """With no market the preemption-capable loop is the elastic loop, bit for bit."""
+    """A market with no instance bought on it leaves the kernel's run bit for bit."""
     settings = fast_settings
     registry = settings.registry()
     model = settings.model("RM2")
     from repro.cloud.config import HeterogeneousConfig
+    from repro.cloud.spot import SpotMarket
     from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
     config = HeterogeneousConfig((1, 1, 2, 0), registry.catalog)
@@ -87,11 +87,14 @@ def test_spot_disabled_path_is_byte_identical(fast_settings):
         queries,
         rng=np.random.default_rng(settings.seed + 1),
     )
-    preemptible = simulate_preemptible_serving(
+    preemptible = simulate_elastic_serving(
         Cluster(config, model, registry),
         KairosPolicy(),
         queries,
         rng=np.random.default_rng(settings.seed + 1),
+        market=SpotMarket.uniform(
+            registry.catalog, discount=0.65, preemptions_per_hour=3_600.0
+        ),
     )
     assert [
         (r.query.query_id, r.server_id, r.start_ms, r.completion_ms, r.service_ms)

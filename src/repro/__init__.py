@@ -99,12 +99,13 @@ that through the same four layers::
         |   billing ledger prices intervals per market (cost_by_market,
         |   discount_savings) so the on-demand/spot split is exact
         v
-    repro.sim.preemption             PreemptibleElasticSimulation
-        |   PREEMPTION_WARNING / PREEMPTED events on the elastic event loop:
+    repro.sim.elasticity             ElasticServingSimulation(market=...)
+        |   PREEMPTION_WARNING / PREEMPTED events on the serving kernel:
         |   a warned spot instance enters deadline-bounded draining, unfinished
         |   work is re-queued through the central PendingQueue at the kill, and
         |   a replacement boots while the victim drains (PreemptionBurst scripts
-        |   a correlated worst-case reclaim)
+        |   a correlated worst-case reclaim; initial_spot_server_ids in
+        |   repro.sim.cluster names a mixed cluster's spot portion)
         v
     repro.core                       SpotAwareKairosPlanner.plan_mixed /
         |                            MultiModelKairosPlanner.plan_joint_mixed

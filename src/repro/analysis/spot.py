@@ -15,8 +15,9 @@ axis: one demand target, two arms —
   preemption-tolerant loop (deadline-bounded draining, central re-queue, reactive
   like-for-like re-provisioning) absorbs both.
 
-Both arms serve the identical query stream through the same preemption-capable event
-loop, so the comparison isolates exactly one difference: the market mix.  The table
+Both arms serve the identical query stream through the same serving kernel (only the
+mixed arm is given the market), so the comparison isolates exactly one difference:
+the market mix.  The table
 reports per-arm planned and realized $/hr plus QoS attainment before, during, and
 after the burst window — the headline being that the mixed arm serves QoS at a
 measurably lower $/hr and recovers from the forced burst.
@@ -31,10 +32,9 @@ from repro.analysis.reporting import FigureTable
 from repro.analysis.settings import ExperimentSettings
 from repro.cloud.spot import MS_PER_HOUR, SpotMarket
 from repro.core.kairos import KairosPlanner, SpotAwareKairosPlanner
-from repro.sim.cluster import Cluster
-from repro.sim.elasticity import ElasticSimulationReport
+from repro.sim.cluster import Cluster, initial_spot_server_ids
+from repro.sim.elasticity import ElasticServingSimulation, ElasticSimulationReport
 from repro.sim.events import Event, EventKind, PreemptionBurst
-from repro.sim.preemption import PreemptibleElasticSimulation, initial_spot_server_ids
 from repro.workload.generator import WorkloadSpec
 from repro.workload.phases import LoadPhase, PhasedTrace
 
@@ -143,8 +143,8 @@ def fig18_spot_savings(
 
         return KairosPolicy(use_perfect_estimator=not use_online_latency_learning)
 
-    # All-on-demand arm: same preemption-capable loop, no market.
-    od_sim = PreemptibleElasticSimulation(
+    # All-on-demand arm: the same serving kernel, no market.
+    od_sim = ElasticServingSimulation(
         Cluster(plan_od.combined_config, model, registry),
         build_policy(),
         startup_delay_ms=startup_delay_ms,
@@ -164,7 +164,7 @@ def fig18_spot_savings(
             PreemptionBurst(count=max(1, 2 * len(spot_ids))),
         )
     ]
-    mixed_sim = PreemptibleElasticSimulation(
+    mixed_sim = ElasticServingSimulation(
         mixed_cluster,
         build_policy(),
         market=market,

@@ -518,10 +518,7 @@ def bench_spot_sim(preset: str) -> BenchResult:
     profiles = default_profile_registry()
     model = profiles.models[MODEL]
     from repro.cloud.spot import SpotMarket
-    from repro.sim.preemption import (
-        PreemptibleElasticSimulation,
-        initial_spot_server_ids,
-    )
+    from repro.sim.cluster import initial_spot_server_ids
 
     combined = HeterogeneousConfig(tuple(p["spot_counts"]), profiles.catalog)
     spot_portion = HeterogeneousConfig(tuple(p["spot_portion"]), profiles.catalog)
@@ -538,7 +535,7 @@ def bench_spot_sim(preset: str) -> BenchResult:
         from repro.schedulers.kairos_policy import KairosPolicy
 
         cluster = Cluster(combined, model, profiles)
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             cluster,
             KairosPolicy(),
             market=market,

@@ -10,8 +10,8 @@ Two families:
 
 * **Derived invariants** relate multiple runs or processes:
   ``qos_monotone_in_budget`` (planner-level QoS bound nondecreasing in budget),
-  ``spot_disabled_identity`` (a market-less spot simulation is byte-identical to the
-  elastic one; a zero-hazard market changes billing but not one service outcome),
+  ``spot_disabled_identity`` (the kernel with no market is byte-identical to the
+  elastic twin; a zero-hazard market changes billing but not one service outcome),
   and ``hashseed_independence`` (run digests agree across PYTHONHASHSEED values,
   via subprocess re-execution).
 
@@ -127,7 +127,7 @@ ALL_INVARIANTS: Dict[str, Tuple[str, str]] = {
     ),
     "spot_disabled_identity": (
         "derived",
-        "spot loop without a market is byte-identical to the elastic loop; a "
+        "a spot spec run with no market is byte-identical to its elastic twin; a "
         "zero-hazard market leaves the service stream untouched",
     ),
     "hashseed_independence": (
@@ -1043,13 +1043,13 @@ def check_spot_disabled_identity(spec: ScenarioSpec) -> List[Violation]:
     out: List[Violation] = []
     elastic_twin = spec.without_spot()
 
-    # market=None spot loop vs the plain elastic loop: byte-identical, billing included.
+    # The kernel with no market vs the elastic twin: byte-identical, billing included.
     market_off = replace(spec, spot=None)
     if digest_spec(market_off) != digest_spec(elastic_twin):
         out.append(
             Violation(
                 "spot_disabled_identity",
-                "spot loop with market=None diverges from the elastic loop "
+                "a spot spec run with no market diverges from its elastic twin "
                 f"(spec {spec.label or spec.seed})",
             )
         )

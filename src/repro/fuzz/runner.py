@@ -35,13 +35,12 @@ from repro.pipeline import (
     realize_graphs,
 )
 from repro.schedulers.kairos_policy import KairosPolicy, MultiModelKairosPolicy
-from repro.sim.cluster import Cluster, MultiModelCluster
+from repro.sim.cluster import Cluster, MultiModelCluster, initial_spot_server_ids
 from repro.sim.elasticity import ElasticServingSimulation
 from repro.sim.events import CrashStorm, Event, EventKind, PreemptionBurst, ScaleRequest
 from repro.sim.faults import AdmissionController, FaultInjector, RetryPolicy
 from repro.sim.health import HealthConfig, HedgePolicy
 from repro.sim.multi_model import MultiModelServingSimulation
-from repro.sim.preemption import PreemptibleElasticSimulation, initial_spot_server_ids
 from repro.sim.simulation import gaussian_service_noise
 from repro.workload.arrivals import (
     BurstyArrivalProcess,
@@ -77,7 +76,7 @@ class RecordingPolicy:
 
     Forwards every call to the wrapped policy unchanged while recording (a) each
     scheduling round's time and assignments, and (b) every completion
-    the simulator reports.  In the preemption loop, killed dispatches are voided
+    the simulator reports.  Voided dispatches (killed, crashed, timed out) are voided
     *before* ``observe_completion`` fires, so the recorded completion stream is
     exactly the set of services that actually stood — which is what the conservation
     invariants must reason about.
@@ -301,6 +300,25 @@ def _chaos_kwargs(spec: ScenarioSpec) -> Dict:
     return kwargs
 
 
+def _market_kwargs(spec: ScenarioSpec, cluster: Cluster) -> Dict:
+    """The spot market and the initial spot ids (nothing without a spot spec)."""
+    spot = spec.spot
+    if spot is None:
+        return {}
+    return dict(
+        market=SpotMarket.uniform(
+            DEFAULT_INSTANCE_CATALOG,
+            discount=spot.discount,
+            preemptions_per_hour=spot.preemptions_per_hour,
+            warning_ms=spot.warning_ms,
+        ),
+        spot_server_ids=initial_spot_server_ids(
+            cluster, HeterogeneousConfig(tuple(spot.spot_counts))
+        ),
+        market_rng=np.random.default_rng([spec.seed, 202]),
+    )
+
+
 def _controller(spec: ScenarioSpec, model, registry) -> Optional[ElasticKairosController]:
     if not spec.use_controller:
         return None
@@ -342,15 +360,18 @@ def run_scenario(
     controller = None
 
     if spec.loop in ("static", "elastic", "spot"):
-        # A static spec is the kernel with no controller and no scripted events
-        # (spec validation refuses both, and faults, on the static loop).
+        # One kernel: a static spec has no controller and no scripted events (spec
+        # validation refuses both, and faults, on the static loop), and a spot spec
+        # is the kernel given a market.
         model = get_model(spec.streams[0].model_name)
         cluster = Cluster(
             HeterogeneousConfig(tuple(spec.config_counts[0])), model, registry
         )
         policy = _single_model_policy(spec)
         controller = _controller(spec, model, registry)
-        common = dict(
+        sim = ElasticServingSimulation(
+            cluster,
+            policy,
             controller=controller,
             startup_delay_ms=spec.startup_delay_ms,
             noise=_noise(spec),
@@ -359,31 +380,8 @@ def run_scenario(
             scripted_events=_scripted_events(spec),
             sharded_events=spec.sharded_events,
             **_chaos_kwargs(spec),
+            **_market_kwargs(spec, cluster),
         )
-        if spec.loop != "spot":
-            sim = ElasticServingSimulation(cluster, policy, **common)
-        else:
-            spot = spec.spot
-            market = None
-            spot_ids: Sequence[int] = ()
-            if spot is not None:
-                market = SpotMarket.uniform(
-                    DEFAULT_INSTANCE_CATALOG,
-                    discount=spot.discount,
-                    preemptions_per_hour=spot.preemptions_per_hour,
-                    warning_ms=spot.warning_ms,
-                )
-                spot_ids = initial_spot_server_ids(
-                    cluster, HeterogeneousConfig(tuple(spot.spot_counts))
-                )
-            sim = PreemptibleElasticSimulation(
-                cluster,
-                policy,
-                market=market,
-                spot_server_ids=spot_ids,
-                market_rng=np.random.default_rng([spec.seed, 202]),
-                **common,
-            )
         report = sim.run(run_queries)
     else:  # multi_model / pipeline
         configs = {

@@ -143,11 +143,7 @@ class PipelineServingSimulation(MultiModelServingSimulation):
             and self.coordinator.active
         ):
             record: QueryRecord = event.payload
-            if (
-                id(record) not in self._killed
-                and id(record) not in self._timed_out
-                and id(record) not in self._absorbed
-            ):
+            if id(record) not in self._voided:
                 # A genuine completion (the parent handler will take the same
                 # branch): release successors before delegating so the offered
                 # count never dips to zero mid-graph — `_settle_outstanding`

@@ -6,7 +6,7 @@ query-distribution policy, latency/QoS metrics, and the allowable-throughput cap
 search that defines the paper's headline metric.
 """
 
-from repro.sim.cluster import Cluster, ClusterView
+from repro.sim.cluster import Cluster, ClusterView, initial_spot_server_ids
 from repro.sim.capacity import AllowableThroughputResult, measure_allowable_throughput
 from repro.sim.elasticity import (
     ElasticServingSimulation,
@@ -26,11 +26,6 @@ from repro.sim.faults import (
     ShedEntry,
 )
 from repro.sim.metrics import QueryRecord, ServingMetrics
-from repro.sim.preemption import (
-    PreemptibleElasticSimulation,
-    initial_spot_server_ids,
-    simulate_preemptible_serving,
-)
 from repro.sim.server import ServerInstance
 from repro.sim.simulation import simulate_serving
 
@@ -51,9 +46,7 @@ __all__ = [
     "ElasticSimulationReport",
     "ScaleLogEntry",
     "simulate_elastic_serving",
-    "PreemptibleElasticSimulation",
     "initial_spot_server_ids",
-    "simulate_preemptible_serving",
     "AllowableThroughputResult",
     "measure_allowable_throughput",
     "FaultInjector",

@@ -221,6 +221,30 @@ class Cluster:
         return f"Cluster(model={self.model.name}, config={self.config})"
 
 
+def initial_spot_server_ids(
+    cluster: Cluster, spot_config: HeterogeneousConfig
+) -> List[int]:
+    """The server ids of a mixed cluster's initial spot portion.
+
+    A mixed-market plan is instantiated as one :class:`Cluster` over the *combined*
+    (on-demand + spot) configuration; server ids are assigned in catalog order with
+    same-type servers contiguous, so within each type block the last
+    ``spot_config[type]`` ids are deterministically designated spot.
+    """
+    ids: List[int] = []
+    for type_name, spot_count in spot_config:
+        if spot_count <= 0:
+            continue
+        of_type = [s.server_id for s in cluster if s.type_name == type_name]
+        if spot_count > len(of_type):
+            raise ValueError(
+                f"spot config wants {spot_count} x {type_name} but the cluster "
+                f"only has {len(of_type)}"
+            )
+        ids.extend(of_type[len(of_type) - spot_count :])
+    return ids
+
+
 class ClusterView:
     """A frozen, index-contiguous subset of a cluster's servers.
 

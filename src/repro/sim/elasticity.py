@@ -1,4 +1,4 @@
-"""The serving kernel: one event loop for static, elastic, and fault-injected runs.
+"""The serving kernel: one event loop for static, elastic, spot and fault-injected runs.
 
 :class:`ElasticServingSimulation` serves a query stream on a cluster whose membership
 may change mid-run.  With no controller and no scripted events it is the *static*
@@ -28,14 +28,35 @@ Lifecycle of a scale action:
     instance is decommissioned on the spot; a busy one finishes its local queue and is
     removed at its final completion.  Billing stops at decommission time.
 
+A run given a :class:`~repro.cloud.spot.SpotMarket` is a spot run: an instance bought
+on the market bills at its discounted rate and is spot while it is in the cluster.
+
+``PREEMPTION_WARNING``
+    The provider's reclaim notice for one spot instance (drawn from the market's
+    Poisson hazard when the instance becomes active, or scripted as a correlated
+    :class:`~repro.sim.events.PreemptionBurst`).  The warned instance enters
+    *deadline-bounded draining*: it stops accepting work (even if quarantined) and
+    has the market's ``warning_ms`` to finish its local queue.  A replacement boots
+    while the victim drains: the controller re-plans through ``observe_preemption``,
+    or, without one, the kernel re-provisions like-for-like.
+
+``PREEMPTED``
+    The kill at the end of the warning window.  Billing stops, and whatever the
+    victim did not finish re-enters the central queue at once (no retry budget: the
+    loss was announced).  A victim that drained before the deadline was already
+    decommissioned, and the kill is a no-op.
+
+Every voided attempt (a crash, a kill, a response timeout, a stuck zombie attempt,
+a hedge race's loser) takes one path, :meth:`ElasticServingSimulation._void_attempt`:
+a voided attempt's completion, if one is queued, is swallowed.
+
 Scheduling happens on an index-stable :class:`~repro.sim.cluster.ClusterView` of the
 currently accepting servers, rebuilt (and the policy re-bound) whenever membership
 changes, so existing policies work unmodified.
 
-The multi-model loop (:mod:`repro.sim.multi_model`) and the spot loop
-(:mod:`repro.sim.preemption`) subclass the kernel and override only the hooks below
-(model scoping, billing, scripted events), so every fault, retry, admission, health
-and hedge handler exists once.
+The multi-model loop (:mod:`repro.sim.multi_model`) subclasses the kernel and
+overrides only the hooks below (model scoping, billing, scripted events), so every
+fault, retry, admission, health, hedge and spot handler exists once.
 """
 
 from __future__ import annotations
@@ -45,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cloud.billing import SPAN_HEDGE, SPAN_QUARANTINE, InstanceUsageLedger
+from repro.cloud.spot import MARKET_ON_DEMAND, MARKET_SPOT, SpotMarket
 from repro.sim.cluster import Cluster, ClusterView
 from repro.sim.engine import (
     TIME_EPSILON_MS,
@@ -53,7 +75,7 @@ from repro.sim.engine import (
     no_progress_error,
     step_budget,
 )
-from repro.sim.events import CrashStorm, Event, EventKind, ScaleRequest
+from repro.sim.events import CrashStorm, Event, EventKind, PreemptionBurst, ScaleRequest
 from repro.sim.faults import (
     AdmissionController,
     DeadLetterEntry,
@@ -282,6 +304,17 @@ class ElasticServingSimulation:
     warmup_queries:
         The first arrivals of each model are served but kept out of the metrics; they
         cover the online latency learner's cold start.
+    market:
+        Optional :class:`~repro.cloud.spot.SpotMarket` pricing and reclaiming the
+        spot instances (see the module docstring).  ``None`` leaves every instance
+        on demand and draws nothing from ``market_rng``.
+    spot_server_ids:
+        Ids of the initial servers bought on the market (see
+        :func:`~repro.sim.cluster.initial_spot_server_ids`).  They bill at the
+        discounted rate from t=0 and their reclaim timers arm immediately.
+    market_rng:
+        Dedicated generator for reclaim-delay draws, separate from the service noise
+        stream so arming the market never perturbs service times.
     """
 
     def __init__(
@@ -305,6 +338,9 @@ class ElasticServingSimulation:
         health: Optional[HealthConfig] = None,
         hedge: Optional[HedgePolicy] = None,
         max_violations: Optional[int] = None,
+        market: Optional[SpotMarket] = None,
+        spot_server_ids: Sequence[int] = (),
+        market_rng: RngLike = None,
     ):
         check_non_negative(startup_delay_ms, "startup_delay_ms")
         if warmup_queries < 0:
@@ -335,13 +371,22 @@ class ElasticServingSimulation:
         #: drive the run off a ShardedEventQueue (per-kind shards); byte-identical
         #: to the single-heap path (see repro.sim.sharding)
         self.sharded_events = bool(sharded_events)
-        # -- shared chaos/preemption machinery (subclasses reuse all of it) ------------
+        # -- spot market (set before the scripted events are validated) ---------------
+        self.market = market
+        self._market_rng = ensure_rng(market_rng) if market is not None else None
+        self._initial_spot_ids = frozenset(int(i) for i in spot_server_ids)
+        if self._initial_spot_ids and market is None:
+            raise ValueError("spot_server_ids requires a SpotMarket")
+        #: ids of instances bought on the spot market (booting, live or gone)
+        self._spot_purchases: Set[int] = set()
+        #: servers already holding a reclaim notice — a warned instance is never
+        #: warned twice (one warning, one kill, one log entry per reclaim)
+        self._warned: Set[int] = set()
+        # -- shared chaos/preemption machinery ------------------------------------------
         #: per-server records dispatched but not yet completed (the voiding source)
         self._inflight: Dict[int, List[QueryRecord]] = {}
-        #: object ids of records whose server crashed/was killed (completions are void)
-        self._killed: Set[int] = set()
-        #: object ids of records abandoned at their response deadline
-        self._timed_out: Set[int] = set()
+        #: object ids of voided attempts whose queued completion must be swallowed
+        self._voided: Set[int] = set()
         #: query ids re-injected as arrivals (skip controller rate observation)
         self._requeued_ids: Set[int] = set()
         #: failed attempts per query id (drives the bounded retry budget)
@@ -369,11 +414,8 @@ class ElasticServingSimulation:
         #: server ids that have gone zombie (accept work, never emit completions)
         self._zombie_ids: Set[int] = set()
         #: object ids of records dispatched into a zombie: no completion event exists,
-        #: so void paths must not expect one (unlike _killed/_timed_out bookkeeping)
+        #: so a void must not mark one for swallowing
         self._zombie_attempts: Set[int] = set()
-        #: object ids of cancelled attempts whose queued completion must be silently
-        #: absorbed (local queue popped, no metrics) — hedge losers, stuck-voids
-        self._absorbed: Set[int] = set()
         #: query id -> (primary, duplicate) of an unresolved hedge race
         self._hedge_pairs: Dict[int, Tuple[QueryRecord, QueryRecord]] = {}
         #: open quarantine attribution spans per server id
@@ -383,12 +425,13 @@ class ElasticServingSimulation:
         self.hedges_launched = 0
         self.hedges_cancelled = 0
         self.hedge_wins = 0
-        #: whether dispatches must be tracked for voiding (crash or timeout possible)
+        #: whether dispatches must be tracked for voiding (crash, kill or timeout)
         self._track_inflight = (
             faults is not None
             or (retry is not None and retry.response_timeout_ms is not None)
             or health is not None
             or hedge is not None
+            or market is not None
         )
         self.scripted_events = tuple(scripted_events)
         for event in self.scripted_events:
@@ -396,10 +439,26 @@ class ElasticServingSimulation:
         check_serving_inputs(
             (), self._model_names(), self.scripted_events, self._catalog()
         )
+        if market is not None:
+            known = {s.server_id for s in cluster}
+            unknown = sorted(self._initial_spot_ids - known)
+            if unknown:
+                raise ValueError(f"spot_server_ids not in the cluster: {unknown}")
+            for server in cluster:
+                if server.server_id in self._initial_spot_ids:
+                    market[server.type_name]  # raises if the type is not offered
         self._ran = False
 
     def _validate_scripted(self, event: Event) -> None:
-        """Reject unsupported scripted events (subclasses widen the accepted kinds)."""
+        """Reject unsupported scripted events."""
+        if event.kind == EventKind.PREEMPTION_WARNING:
+            if not isinstance(event.payload, PreemptionBurst):
+                raise ValueError(
+                    "scripted preemption warnings must carry a PreemptionBurst payload"
+                )
+            if self.market is None:
+                raise ValueError("scripted preemption bursts require a SpotMarket")
+            return
         if event.kind == EventKind.INSTANCE_FAILED:
             if not isinstance(event.payload, CrashStorm):
                 raise ValueError(
@@ -471,8 +530,8 @@ class ElasticServingSimulation:
         self._bind(view)
         max_steps = step_budget(n, self.retry)
         steps = 0
-        # fixed for the run: every input (faults, retry, monitor, hedges, a
-        # subclass's market) is set at construction
+        # fixed for the run: every input (faults, retry, monitor, hedges, market)
+        # is set at construction
         idle_kinds = frozenset(self._idle_timer_kinds())
         # fresh arrivals not yet admitted are ordered[cursor:] (see module docstring)
         arrival_times = [q.arrival_time_ms for q in ordered]
@@ -632,10 +691,9 @@ class ElasticServingSimulation:
         )
 
     # -- subclass hooks -----------------------------------------------------------------
-    # The multi-model (repro.sim.multi_model) and preemption (repro.sim.preemption)
-    # simulators extend the loop through these hooks instead of forking it; the
-    # defaults are the single-model elastic behaviour (locked down by the
-    # seed-stability suite).
+    # The multi-model simulator (repro.sim.multi_model) extends the loop through these
+    # hooks instead of forking it; the defaults are the single-model behaviour
+    # (locked down by the seed-stability suite).
     _report_type = ElasticSimulationReport
 
     def _model_names(self) -> Sequence[str]:
@@ -691,9 +749,14 @@ class ElasticServingSimulation:
         return self.cluster
 
     def _open_initial_billing(self, ledger: InstanceUsageLedger, events: EventQueue) -> None:
-        """Open billing for the initial fleet (``events`` lets subclasses arm timers)."""
+        """Open billing for the initial fleet and arm its spot reclaim timers."""
         for server in self.cluster:
-            ledger.start(server.server_id, server.instance_type, 0.0)
+            if server.server_id in self._initial_spot_ids:
+                self._start_spot_billing(ledger, server.server_id, server.instance_type, 0.0)
+                if self._outstanding > 0:
+                    self._arm_reclaim_timer(server.server_id, server.type_name, 0.0, events)
+            else:
+                ledger.start(server.server_id, server.instance_type, 0.0)
 
     def _start_billing(
         self,
@@ -703,18 +766,148 @@ class ElasticServingSimulation:
         now: float,
         request: ScaleRequest,
     ) -> None:
-        """Open billing for one scale-up instance (subclasses price by market)."""
-        ledger.start(server_id, itype, now)
+        """Open billing for one scale-up instance, priced by its market."""
+        if request.market == MARKET_SPOT:
+            self._start_spot_billing(ledger, server_id, itype, now)
+        else:
+            ledger.start(server_id, itype, now)
 
-    def _after_instance_ready(
+    # -- spot market ---------------------------------------------------------------------
+    def _start_spot_billing(
+        self, ledger: InstanceUsageLedger, server_id: int, itype, now: float
+    ) -> None:
+        """Record one instance as bought on the market and bill it at the spot rate."""
+        if self.market is None:
+            raise ValueError(f"spot scale-up for {itype.name!r} without a SpotMarket")
+        self._spot_purchases.add(server_id)
+        ledger.start(
+            server_id,
+            itype,
+            now,
+            price_multiplier=self.market.price_multiplier(itype.name),
+            market=MARKET_SPOT,
+            price_schedule=self.market.price_schedule(itype.name),
+        )
+
+    def _arm_reclaim_timer(
         self, server_id: int, type_name: str, now: float, events: EventQueue
     ) -> None:
-        """Called once a provisioned instance joins the schedulable set."""
-        self._arm_fault_timers(server_id, type_name, now, events)
+        """Draw this spot instance's time to its reclaim warning (zero hazard: none)."""
+        delay = self.market.draw_preemption_delay_ms(type_name, now, self._market_rng)
+        if delay is not None:
+            events.push(
+                Event(now + delay, EventKind.PREEMPTION_WARNING, (server_id, type_name))
+            )
 
-    def _market_label(self, server_id: int) -> str:
-        """Purchase market of a crashed instance's like-for-like replacement."""
-        return "on-demand"
+    def _handle_warning(
+        self, payload, now: float, events: EventQueue, scale_log: List[ScaleLogEntry]
+    ) -> bool:
+        """Apply one ``PREEMPTION_WARNING``; returns True when membership changed."""
+        if isinstance(payload, PreemptionBurst):
+            changed = False
+            for server in self._burst_victims(payload):
+                changed = (
+                    self._warn_server(server, now, events, scale_log, payload.reason)
+                    or changed
+                )
+            return changed
+        server_id, _type_name = payload
+        if server_id in self._warned:
+            return False  # already holding a notice
+        try:
+            server = self.cluster.server_by_id(server_id)
+        except KeyError:
+            return False  # decommissioned or crashed: nothing to reclaim
+        return self._warn_server(server, now, events, scale_log, "market")
+
+    def _warn_server(
+        self,
+        server: ServerInstance,
+        now: float,
+        events: EventQueue,
+        scale_log: List[ScaleLogEntry],
+        reason: str,
+    ) -> bool:
+        """Start deadline-bounded draining; returns True when membership changed."""
+        self._warned.add(server.server_id)
+        was_accepting = server.accepting
+        if not server.draining:
+            # a quarantined victim drains too, so a probation probe inside the
+            # warning window cannot re-admit it
+            server.start_draining()
+        events.push(
+            Event(
+                now + self.market.warning_ms,
+                EventKind.PREEMPTED,
+                (server.server_id, server.type_name),
+            )
+        )
+        scale_log.append(
+            ScaleLogEntry(now, "preemption_warning", server.type_name, 1, reason)
+        )
+        # Reactive re-provisioning: only for instances the plan still wanted (an
+        # already-draining victim was on its way out anyway) and only while work
+        # remains — otherwise the replacement chain would outlive the trace.
+        if was_accepting and self._outstanding > 0:
+            observe = getattr(self.controller, "observe_preemption", None)
+            if observe is not None:
+                # Re-provision at the warning instant, not at the next arrival —
+                # a reclaim after the last arrival would otherwise never re-plan.
+                observe(server.type_name, now)
+                decision = self.controller.maybe_replan(now)
+                if decision is not None:
+                    self._forced_replans.append(decision)
+                    self._emit_scale_events(decision, now, events)
+            else:
+                request = ScaleRequest(
+                    server.type_name, 1, reason="reprovision", market=MARKET_SPOT
+                )
+                events.push(Event(now, EventKind.SCALE_UP, request))
+        return was_accepting
+
+    def _burst_victims(self, burst: PreemptionBurst) -> List[ServerInstance]:
+        """Pick the burst's victims in :func:`select_drain_victims` cost-aware order."""
+        spot_servers = [
+            s
+            for s in self.cluster
+            if s.server_id in self._spot_purchases
+            and s.server_id not in self._warned
+            and (burst.type_name is None or s.type_name == burst.type_name)
+        ]
+        present_types = sorted({s.type_name for s in spot_servers})
+        victims: List[ServerInstance] = []
+        for type_name in scale_down_priority(
+            self.cluster.profiles, self.cluster.model, present_types
+        ):
+            of_type = [s for s in spot_servers if s.type_name == type_name]
+            of_type.sort(key=lambda s: (s.local_queue_depth, s.busy_until_ms, s.server_id))
+            victims.extend(of_type)
+        return victims[: burst.count]
+
+    def _handle_kill(
+        self,
+        payload,
+        now: float,
+        events: EventQueue,
+        ledger: InstanceUsageLedger,
+        scale_log: List[ScaleLogEntry],
+    ) -> bool:
+        """The reclaim deadline: kill the victim and re-queue its unfinished work."""
+        server_id, _type_name = payload
+        try:
+            server = self.cluster.server_by_id(server_id)
+        except KeyError:
+            return False  # drained to empty before the deadline: already decommissioned
+        voided, orphans = self._lose_server(server, now, ledger)
+        scale_log.append(ScaleLogEntry(now, "preempted", server.type_name, 1))
+        for query in orphans:
+            # the loss was announced: re-queue at the kill instant, outside the
+            # retry budget, for this instant's scheduling round to redistribute
+            self._requeued_ids.add(query.query_id)
+            events.push(Event(now, EventKind.QUERY_ARRIVAL, query))
+        if voided:
+            scale_log.append(ScaleLogEntry(now, "requeue", server.type_name, voided))
+        return True
 
     # -- fault injection -----------------------------------------------------------------
     def _arm_initial_faults(self, events: EventQueue) -> None:
@@ -764,7 +957,7 @@ class ElasticServingSimulation:
             )
 
     def _idle_timer_kinds(self) -> Set[EventKind]:
-        """Event kinds that must not outlive the workload (subclasses widen)."""
+        """Event kinds that must not outlive the workload."""
         kinds: Set[EventKind] = set()
         if self.faults is not None:
             kinds |= {
@@ -785,14 +978,16 @@ class ElasticServingSimulation:
             kinds |= {EventKind.HEALTH_CHECK, EventKind.HEALTH_PROBE}
         if self.hedges is not None:
             kinds.add(EventKind.HEDGE_TIMER)
+        if self.market is not None:
+            kinds |= {EventKind.PREEMPTION_WARNING, EventKind.PREEMPTED}
         return kinds
 
     def _settle_outstanding(self, events: EventQueue) -> None:
         """One query reached a terminal outcome; at zero, drop lingering timers.
 
-        Pending fault/timeout (and, in subclasses, reclaim) timers must not keep the
-        run — and therefore every instance's billing — alive once the trace is fully
-        settled, exactly like a chaos-free run ending with its last completion.
+        Pending fault, timeout and reclaim timers must not keep the run — and therefore
+        every instance's billing — alive once the trace is fully settled, exactly like
+        a chaos-free run ending with its last completion.
         """
         self._outstanding -= 1
         if self._outstanding == 0:
@@ -905,11 +1100,12 @@ class ElasticServingSimulation:
         (clouds do not charge past a host death).  Replacement mirrors the preemption
         path — the controller absorbs the loss via ``observe_failure`` and force-replans,
         or the injector's ``auto_replace`` issues a like-for-like ``SCALE_UP`` — gated
-        on outstanding work so the replacement chain cannot outlive the trace.
+        on outstanding work so the replacement chain cannot outlive the trace.  The
+        attempts the crash voided go through the retry/dead-letter account (unlike the
+        announced kill, which re-queues unconditionally).
         """
         server_id = server.server_id
-        self.cluster.remove_server(server_id)
-        ledger.stop(server_id, now, failed=True)
+        voided, orphans = self._lose_server(server, now, ledger, failed=True)
         scale_log.append(
             ScaleLogEntry(now, "instance_failed", server.type_name, 1, reason)
         )
@@ -931,40 +1127,67 @@ class ElasticServingSimulation:
                             1,
                             reason="replace_failed",
                             model_name=self._partition_of(server_id).model.name,
-                            market=self._market_label(server_id),
+                            market=(
+                                MARKET_SPOT
+                                if server_id in self._spot_purchases
+                                else MARKET_ON_DEMAND
+                            ),
                         ),
                     )
                 )
-        voided = self._inflight.pop(server_id, [])
-        for record in voided:
-            # void the scheduled completion; the attempt failed with no warning, so
-            # it goes through the retry/dead-letter account (unlike the announced
-            # preemption path, which re-queues unconditionally)
-            if id(record) in self._zombie_attempts:
-                # a zombie attempt has no completion event to void
-                self._zombie_attempts.discard(id(record))
-            else:
-                self._killed.add(id(record))
-            self._voided_dispatches += 1
-            pair = self._hedge_pairs.pop(record.query.query_id, None)
-            if pair is not None:
-                # the surviving hedge attempt still serves this query; the crash
-                # resolved the race instead of failing the client path
-                self.hedges_cancelled += 1
-                continue
-            self._fail_attempt(record.query, now, "crash", events)
+        for query in orphans:
+            self._fail_attempt(query, now, "crash", events)
         if voided:
             scale_log.append(
-                ScaleLogEntry(now, "void_inflight", server.type_name, len(voided), reason)
+                ScaleLogEntry(now, "void_inflight", server.type_name, voided, reason)
             )
-        # drop gray-failure state for the dead server
+        return True
+
+    def _lose_server(
+        self, server: ServerInstance, now: float, ledger, *, failed: bool = False
+    ) -> Tuple[int, List[Query]]:
+        """A server is gone without draining (a crash or a spot kill).
+
+        Removes it, stops its bill, voids its in-flight attempts and forgets its
+        gray-failure state.  Returns the number of voided attempts and the queries
+        among them that no surviving hedge partner still serves (the caller decides
+        their fate).
+        """
+        server_id = server.server_id
+        self.cluster.remove_server(server_id)
+        ledger.stop(server_id, now, failed=failed)
+        voided = self._inflight.pop(server_id, [])
+        orphans = [r.query for r in voided if self._void_attempt(r)]
         if self.monitor is not None:
             self.monitor.forget(server_id)
         span = self._quarantine_spans.pop(server_id, None)
         if span is not None:
-            span.end_ms = now  # the failed interval takes the whole cost anyway
+            span.end_ms = now
         self._zombie_ids.discard(server_id)
         self._breakers.pop(server_id, None)
+        return len(voided), orphans
+
+    def _void_attempt(self, record: QueryRecord) -> bool:
+        """Void one dispatch attempt: the one path every void takes.
+
+        Drops the attempt from the in-flight set, marks its queued completion for
+        swallowing (a zombie attempt has none), counts the void and resolves its
+        hedge race.  Returns True when the query needs a new path, False when the
+        hedge partner still serves it.
+        """
+        inflight = self._inflight.get(record.server_id)
+        if inflight is not None and record in inflight:
+            inflight.remove(record)
+            if not inflight:
+                del self._inflight[record.server_id]
+        if id(record) in self._zombie_attempts:
+            self._zombie_attempts.discard(id(record))
+        else:
+            self._voided.add(id(record))
+        self._voided_dispatches += 1
+        if self._hedge_pairs.pop(record.query.query_id, None) is not None:
+            self.hedges_cancelled += 1
+            return False
         return True
 
     def _handle_slowdown_begin(
@@ -1006,22 +1229,8 @@ class ElasticServingSimulation:
         inflight = self._inflight.get(record.server_id)
         if inflight is None or record not in inflight:
             return  # completed, crash-voided, or preempted before the deadline
-        inflight.remove(record)
-        if not inflight:
-            del self._inflight[record.server_id]
-        if id(record) in self._zombie_attempts:
-            # a zombie attempt has no completion event to swallow
-            self._zombie_attempts.discard(id(record))
-        else:
-            self._timed_out.add(id(record))
-        self._voided_dispatches += 1
-        pair = self._hedge_pairs.pop(record.query.query_id, None)
-        if pair is not None:
-            # the partner attempt is still in flight and will serve the query; the
-            # timeout resolved the hedge race instead of failing the client path
-            self.hedges_cancelled += 1
-            return
-        self._fail_attempt(record.query, now, "timeout", events)
+        if self._void_attempt(record):
+            self._fail_attempt(record.query, now, "timeout", events)
 
     # -- gray-failure injection handlers -------------------------------------------------
     def _handle_degradation_onset(
@@ -1181,22 +1390,8 @@ class ElasticServingSimulation:
         self, record: QueryRecord, now: float, events: EventQueue, reason: str
     ) -> None:
         """Abandon an attempt that can never complete (zombie-stuck or overdue)."""
-        inflight = self._inflight.get(record.server_id)
-        if inflight is not None and record in inflight:
-            inflight.remove(record)
-            if not inflight:
-                del self._inflight[record.server_id]
-        self._voided_dispatches += 1
-        if id(record) in self._zombie_attempts:
-            self._zombie_attempts.discard(id(record))
-        else:
-            self._absorbed.add(id(record))
-        pair = self._hedge_pairs.pop(record.query.query_id, None)
-        if pair is not None:
-            # the partner attempt still serves the query
-            self.hedges_cancelled += 1
-            return
-        self._fail_attempt(record.query, now, reason, events)
+        if self._void_attempt(record):
+            self._fail_attempt(record.query, now, reason, events)
 
     def _handle_health_check(
         self,
@@ -1291,46 +1486,19 @@ class ElasticServingSimulation:
             completion_ms=completion,
             service_ms=service,
         )
-        self._inflight.setdefault(duplicate.server_id, []).append(duplicate)
         self._hedge_extra_dispatches += 1
         self.hedges_launched += 1
         self._hedge_pairs[qid] = (record, duplicate)
-        if best.server_id in self._zombie_ids:
-            self._zombie_attempts.add(id(duplicate))
-        else:
-            events.push(Event(completion, EventKind.SERVICE_COMPLETION, duplicate))
-        timeout = self.retry.response_timeout_ms if self.retry is not None else None
-        if timeout is not None and (
-            best.server_id in self._zombie_ids or completion - now > timeout
-        ):
-            # the duplicate needs its own recovery path: without it, a hedge
-            # landing on a zombie under timeout-only recovery strands the query
-            events.push(Event(now + timeout, EventKind.RESPONSE_TIMEOUT, duplicate))
-        if self.monitor is not None:
-            expected = max(completion - now, 1e-6)
-            events.push(
-                Event(
-                    now + self.health.overdue_grace_factor * expected,
-                    EventKind.HEALTH_CHECK,
-                    (duplicate, expected),
-                )
-            )
+        # the duplicate gets its own completion and recovery path (a hedge landing
+        # on a zombie under timeout-only recovery would otherwise strand the query);
+        # the open pair keeps it from being hedged again
+        self._track_dispatch(duplicate, now, events)
 
     def _cancel_hedge_loser(
         self, loser: QueryRecord, now: float, ledger: InstanceUsageLedger
     ) -> None:
         """First completion won the race: cancel the loser, bill its partial work."""
-        inflight = self._inflight.get(loser.server_id)
-        if inflight is not None and loser in inflight:
-            inflight.remove(loser)
-            if not inflight:
-                del self._inflight[loser.server_id]
-        self._voided_dispatches += 1
-        self.hedges_cancelled += 1
-        if id(loser) in self._zombie_attempts:
-            self._zombie_attempts.discard(id(loser))
-        else:
-            self._absorbed.add(id(loser))
+        self._void_attempt(loser)  # resolves the race: the pair is still open
         # partial work: the loser occupied its server from service start (if it
         # started at all) until the cancellation instant
         span_start = min(loser.start_ms, now)
@@ -1400,30 +1568,21 @@ class ElasticServingSimulation:
         """Apply one event; returns ``(membership_changed, was_arrival)``."""
         if event.kind == EventKind.SERVICE_COMPLETION:
             record: QueryRecord = event.payload
-            # Without in-flight tracking nothing can be killed, timed out, absorbed
-            # or hedged, so every completion is genuine and that bookkeeping is
-            # skipped (the static hot path).
+            # Without in-flight tracking nothing can be voided or hedged, so every
+            # completion is genuine and that bookkeeping is skipped (the static hot
+            # path).
             swallowed = False
             if self._track_inflight:
-                if id(record) in self._killed:
-                    # the server died mid-service; the attempt was voided and this
-                    # completion never happened
-                    self._killed.discard(id(record))
-                    return False, False
-                # a swallowed completion drains the server's local queue (the GPU
-                # finished the work) but the client path already moved on — timeout
-                # abandonments and cancelled hedge/stuck attempts alike
-                swallowed = id(record) in self._timed_out or id(record) in self._absorbed
+                # a voided attempt's completion drains the server's local queue (the
+                # GPU finished the work) but the client path already moved on
+                swallowed = id(record) in self._voided
                 if swallowed:
-                    self._timed_out.discard(id(record))
-                    self._absorbed.discard(id(record))
+                    self._voided.discard(id(record))
                     try:
                         self.cluster.server_by_id(record.server_id)
                     except KeyError:
-                        # The abandoned attempt's server crashed after the timeout
-                        # (the crash could not void the record: the timeout had
-                        # already pulled it out of the in-flight set), so this
-                        # phantom completion has no server left to account against.
+                        # the server crashed or was killed: its queue went with it,
+                        # and this completion never happened (ids are never reused)
                         return False, False
                 else:
                     inflight = self._inflight.get(record.server_id)
@@ -1449,7 +1608,7 @@ class ElasticServingSimulation:
                         self.admission.observe_latency(record.latency_ms)
                 self.policy.observe_completion(record)
                 if self._track_inflight:
-                    pair = self._hedge_pairs.pop(record.query.query_id, None)
+                    pair = self._hedge_pairs.get(record.query.query_id)
                     if pair is not None:
                         # first genuine completion wins the race; the partner is
                         # cancelled and its partial occupancy billed as hedge cost
@@ -1613,8 +1772,18 @@ class ElasticServingSimulation:
                     now, "instance_ready", type_name, 1, self._reason("", model_name)
                 )
             )
-            self._after_instance_ready(server_id, type_name, now, events)
+            self._arm_fault_timers(server_id, type_name, now, events)
+            # a replacement ready after the trace is fully served arms no reclaim
+            # timer: it would drag the billing horizon past the work
+            if server_id in self._spot_purchases and self._outstanding > 0:
+                self._arm_reclaim_timer(server_id, type_name, now, events)
             return True, False
+
+        if event.kind == EventKind.PREEMPTION_WARNING:
+            return self._handle_warning(event.payload, now, events, scale_log), False
+
+        if event.kind == EventKind.PREEMPTED:
+            return self._handle_kill(event.payload, now, events, ledger, scale_log), False
 
         return False, False  # CONTROL and future kinds: no-op
 

@@ -89,6 +89,14 @@ class MultiModelServingSimulation(ElasticServingSimulation):
     cluster: MultiModelCluster
     _report_type = MultiModelSimulationReport
 
+    def __init__(self, cluster: MultiModelCluster, policy, *, market=None, **kwargs):
+        if market is not None:
+            raise ValueError(
+                "spot markets serve single-model clusters only: a multi-model run "
+                "takes no market"
+            )
+        super().__init__(cluster, policy, **kwargs)
+
     def _model_names(self) -> Sequence[str]:
         return self.cluster.model_names
 

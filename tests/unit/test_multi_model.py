@@ -714,11 +714,12 @@ class TestSingleModelByteIdentity:
 
 
 class TestSpotDisabledByteIdentity:
-    """The preemption-capable path with spot disabled must not drift at all.
+    """A market with nothing bought on it must not drift the kernel at all.
 
-    Same contract as the single-model multi-model identity above: with no market (or
-    a zero-hazard one) :class:`~repro.sim.preemption.PreemptibleElasticSimulation`
-    must reproduce the pre-existing elastic and static serving paths bit for bit.
+    Same contract as the single-model multi-model identity above: given a market but
+    no spot instance (or a zero-hazard market), the kernel reproduces the market-less
+    elastic and static serving paths bit for bit; only a spot purchase changes the
+    bill.
     """
 
     def _stream(self):
@@ -729,20 +730,22 @@ class TestSpotDisabledByteIdentity:
         return WorkloadGenerator(spec).generate(rate_qps=40.0, rng=SEED)
 
     @pytest.mark.parametrize("noisy", [False, True])
-    def test_no_market_identical_to_elastic_and_static(
-        self, small_config, rm2, profiles, noisy
+    def test_unused_market_identical_to_elastic_and_static(
+        self, small_config, rm2, profiles, catalog, noisy
     ):
-        from repro.sim.preemption import simulate_preemptible_serving
+        from repro.cloud.spot import SpotMarket
         from repro.sim.simulation import gaussian_service_noise
 
         noise = gaussian_service_noise(0.05) if noisy else None
         queries = self._stream()
-        preemptible = simulate_preemptible_serving(
+        # a hazardous market, but no instance is bought on it: nothing is armed
+        unused = simulate_elastic_serving(
             Cluster(small_config, rm2, profiles),
             KairosPolicy(),
             queries,
             noise=noise,
             rng=np.random.default_rng(SEED + 1),
+            market=SpotMarket.uniform(catalog, discount=0.6, preemptions_per_hour=3600.0),
         )
         elastic = simulate_elastic_serving(
             Cluster(small_config, rm2, profiles),
@@ -761,11 +764,11 @@ class TestSpotDisabledByteIdentity:
             rng=np.random.default_rng(SEED + 1),
         )
         tuples = TestSingleModelByteIdentity._tuples
-        assert tuples(preemptible.metrics.records) == tuples(elastic.metrics.records)
-        assert tuples(preemptible.metrics.records) == tuples(static.metrics.records)
-        assert repr(preemptible.metrics.summary()) == repr(elastic.metrics.summary())
-        assert preemptible.total_cost() == elastic.total_cost()
-        assert preemptible.scale_log == [] and preemptible.replans == []
+        assert tuples(unused.metrics.records) == tuples(elastic.metrics.records)
+        assert tuples(unused.metrics.records) == tuples(static.metrics.records)
+        assert repr(unused.metrics.summary()) == repr(elastic.metrics.summary())
+        assert unused.total_cost() == elastic.total_cost()
+        assert unused.scale_log == [] and unused.replans == []
 
     def test_zero_hazard_market_identical_metrics_cheaper_bill(
         self, small_config, rm2, profiles, catalog
@@ -773,11 +776,10 @@ class TestSpotDisabledByteIdentity:
         """Zero hazard: no preemption events, no market-rng draws — only the bill
         changes (the spot portion is billed at the discounted rate)."""
         from repro.cloud.spot import SpotMarket
-        from repro.sim.preemption import simulate_preemptible_serving
 
         queries = self._stream()
         market = SpotMarket.uniform(catalog, discount=0.6, preemptions_per_hour=0.0)
-        spotted = simulate_preemptible_serving(
+        spotted = simulate_elastic_serving(
             Cluster(small_config, rm2, profiles),
             KairosPolicy(),
             queries,
@@ -796,6 +798,21 @@ class TestSpotDisabledByteIdentity:
         assert repr(spotted.metrics.summary()) == repr(elastic.metrics.summary())
         assert spotted.scale_log == []
         assert spotted.total_cost() < elastic.total_cost()
+
+    def test_multi_model_loop_rejects_a_market(self, profiles, catalog):
+        """Spot serves single-model clusters only: a market handed to the multi-model
+        loop is refused before the run instead of billing every instance on demand."""
+        from repro.cloud.spot import SpotMarket
+
+        cluster = MultiModelCluster(
+            {"RM2": HeterogeneousConfig((1, 0, 1, 0), catalog)}, profiles
+        )
+        with pytest.raises(ValueError, match="single-model"):
+            MultiModelServingSimulation(
+                cluster,
+                MultiModelKairosPolicy(),
+                market=SpotMarket.uniform(catalog, discount=0.6),
+            )
 
 
 class TestShardedDispatch:

@@ -1,5 +1,5 @@
 """Tests for preemption semantics: the warning -> drain -> re-queue -> re-provision
-lifecycle of spot instances in :mod:`repro.sim.preemption`."""
+lifecycle of spot instances, served by the kernel given a market."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,15 @@ from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.spot import MARKET_ON_DEMAND, MARKET_SPOT, SpotMarket
 from repro.core.controller import ElasticKairosController
 from repro.schedulers.kairos_policy import KairosPolicy
-from repro.sim.cluster import Cluster
-from repro.sim.elasticity import scale_down_priority
+from repro.sim.cluster import Cluster, initial_spot_server_ids
+from repro.sim.elasticity import (
+    ElasticServingSimulation,
+    scale_down_priority,
+    simulate_elastic_serving,
+)
 from repro.sim.events import Event, EventKind, PreemptionBurst, ScaleRequest
 from repro.sim.faults import FaultInjector, FaultProfile
 from repro.sim.health import HealthConfig
-from repro.sim.preemption import (
-    PreemptibleElasticSimulation,
-    initial_spot_server_ids,
-    simulate_preemptible_serving,
-)
 from repro.workload.batch_sizes import TruncatedLogNormalBatchSizes
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -59,14 +58,14 @@ class TestInitialSpotServerIds:
 class TestConstruction:
     def test_spot_ids_require_a_market(self, rm2_cluster):
         with pytest.raises(ValueError, match="SpotMarket"):
-            PreemptibleElasticSimulation(
+            ElasticServingSimulation(
                 rm2_cluster, KairosPolicy(), spot_server_ids=[0]
             )
 
     def test_unknown_spot_ids_rejected(self, small_config, rm2, profiles, catalog):
         cluster = Cluster(small_config, rm2, profiles)
         with pytest.raises(ValueError, match="not in the cluster"):
-            PreemptibleElasticSimulation(
+            ElasticServingSimulation(
                 cluster,
                 KairosPolicy(),
                 market=_market(catalog),
@@ -81,21 +80,21 @@ class TestConstruction:
         )
         with pytest.raises(KeyError):
             # server 0 is the g4dn base instance, which this market does not offer
-            PreemptibleElasticSimulation(
+            ElasticServingSimulation(
                 cluster, KairosPolicy(), market=market, spot_server_ids=[0]
             )
 
     def test_scripted_burst_requires_market(self, rm2_cluster):
         events = [Event(10.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=1))]
         with pytest.raises(ValueError, match="SpotMarket"):
-            PreemptibleElasticSimulation(
+            ElasticServingSimulation(
                 rm2_cluster, KairosPolicy(), scripted_events=events
             )
 
     def test_scripted_burst_payload_validated(self, rm2_cluster, catalog):
         events = [Event(10.0, EventKind.PREEMPTION_WARNING, ("oops", 1))]
         with pytest.raises(ValueError, match="PreemptionBurst"):
-            PreemptibleElasticSimulation(
+            ElasticServingSimulation(
                 rm2_cluster,
                 KairosPolicy(),
                 market=_market(catalog),
@@ -111,7 +110,7 @@ class TestPreemptionLifecycle:
         cluster = Cluster(HeterogeneousConfig((1, 0, 1, 0), catalog), rm2, profiles)
         queries = _queries(num=120, rate=rate, median=30)
         events = [Event(500.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=count))]
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             cluster,
             KairosPolicy(),
             market=_market(catalog, warning_ms=warning_ms),
@@ -183,22 +182,6 @@ class TestPreemptionLifecycle:
         assert "preempted" not in kinds or "decommission" in kinds
         assert report.completed_all
 
-    def test_no_reprovision_when_auto_disabled(self, profiles, rm2, catalog):
-        cluster = Cluster(HeterogeneousConfig((1, 0, 1, 0), catalog), rm2, profiles)
-        events = [Event(500.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=1))]
-        report = simulate_preemptible_serving(
-            cluster,
-            KairosPolicy(),
-            _queries(num=80, rate=60.0, median=30),
-            market=_market(catalog, warning_ms=1.0),
-            spot_server_ids=[1],
-            scripted_events=events,
-            auto_reprovision=False,
-            rng=np.random.default_rng(SEED),
-        )
-        assert "scale_up" not in _kinds(report)
-        assert report.completed_all  # the on-demand base absorbs everything
-
 
 class TestQuarantinedSpotInstances:
     def test_quarantined_spot_instance_is_still_warned_and_killed(
@@ -215,7 +198,7 @@ class TestQuarantinedSpotInstances:
                 PreemptionBurst(count=2, type_name="r5n.large"),
             )
         ]
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             cluster,
             KairosPolicy(),
             market=_market(catalog, warning_ms=100.0),
@@ -251,7 +234,7 @@ class TestBurstVictimOrdering:
         # scale_down_priority ranks first
         cluster = Cluster(HeterogeneousConfig((1, 1, 1, 0), catalog), rm2, profiles)
         events = [Event(200.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=1))]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=60, rate=30.0),
@@ -275,7 +258,7 @@ class TestBurstVictimOrdering:
                 PreemptionBurst(count=5, type_name="r5n.large"),
             )
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=60, rate=30.0),
@@ -292,7 +275,7 @@ class TestNaturalPreemptions:
     def test_hazard_drives_preemptions_and_run_terminates(self, profiles, rm2, catalog):
         cluster = Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles)
         # ~ one preemption per spot instance per second of trace time
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=150, rate=50.0, median=30),
@@ -313,13 +296,13 @@ class TestNaturalPreemptions:
         """A reclaim timer drawn far beyond the trace must not keep the run (and
         every instance's billing) alive after the last query completes."""
         cluster = Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles)
-        baseline = simulate_preemptible_serving(
+        baseline = simulate_elastic_serving(
             Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles),
             KairosPolicy(),
             _queries(num=150, rate=60.0, median=30),
             rng=np.random.default_rng(SEED),
         )
-        spotted = simulate_preemptible_serving(
+        spotted = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=150, rate=60.0, median=30),
@@ -336,23 +319,23 @@ class TestNaturalPreemptions:
     def test_declined_backlog_ends_with_reclaim_timers_queued(
         self, profiles, rm2, catalog, monkeypatch
     ):
-        """The loop reads its idle-timer kinds once per run, and the spot loop's
+        """The loop reads its idle-timer kinds once per run, and a market's
         widening still applies: with only reclaim timers left, a backlog the policy
         declines ends the run instead of cycling preemptions to the step guard."""
         calls = []
-        idle_timer_kinds = PreemptibleElasticSimulation._idle_timer_kinds
+        idle_timer_kinds = ElasticServingSimulation._idle_timer_kinds
 
         def counting(sim):
             calls.append(sim)
             return idle_timer_kinds(sim)
 
-        monkeypatch.setattr(PreemptibleElasticSimulation, "_idle_timer_kinds", counting)
+        monkeypatch.setattr(ElasticServingSimulation, "_idle_timer_kinds", counting)
 
         class Declining(KairosPolicy):
             def schedule(self, now_ms, pending, cluster):
                 return []
 
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles),
             Declining(),
             _queries(num=40, rate=50.0, median=30),
@@ -372,7 +355,7 @@ class TestNaturalPreemptions:
             Event(400.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=1)),
             Event(450.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=1)),
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=100, rate=80.0, median=30),
@@ -389,7 +372,7 @@ class TestNaturalPreemptions:
 
     def test_zero_hazard_never_preempts(self, profiles, rm2, catalog):
         cluster = Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles)
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=100, rate=40.0),
@@ -474,7 +457,7 @@ class TestControllerReprovisioning:
                 PreemptionBurst(count=1, type_name=spot_type),
             )
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=200, rate=40.0, median=30),
@@ -531,7 +514,7 @@ class TestControllerReprovisioning:
                 PreemptionBurst(count=1, type_name=spot_type),
             )
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             queries,
@@ -574,7 +557,7 @@ class TestControllerReprovisioning:
                 PreemptionBurst(count=2, type_name="g4dn.xlarge"),
             )
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=200, rate=40.0, median=30),
@@ -601,7 +584,7 @@ class TestSpotScaleRequests:
                 ScaleRequest("r5n.large", 1, market=MARKET_SPOT),
             )
         ]
-        report = simulate_preemptible_serving(
+        report = simulate_elastic_serving(
             cluster,
             KairosPolicy(),
             _queries(num=120, rate=50.0, median=30),
@@ -627,7 +610,7 @@ class TestSpotScaleRequests:
                 ScaleRequest("r5n.large", 1, market=MARKET_SPOT),
             )
         ]
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             cluster, KairosPolicy(), scripted_events=events, rng=np.random.default_rng(1)
         )
         with pytest.raises(ValueError, match="without a SpotMarket"):

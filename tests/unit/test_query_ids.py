@@ -28,7 +28,6 @@ from repro.sim.cluster import Cluster, MultiModelCluster
 from repro.sim.elasticity import ElasticServingSimulation
 from repro.sim.events import Event, EventKind, ScaleRequest
 from repro.sim.multi_model import MultiModelServingSimulation
-from repro.sim.preemption import PreemptibleElasticSimulation
 from repro.sim.simulation import simulate_serving
 from repro.workload.query import Query, check_serving_inputs
 
@@ -90,7 +89,7 @@ class TestDuplicateQueryIds:
             sim.run(stream())
 
     def test_spot_loop(self, profiles, catalog):
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             rm2_cluster(profiles, catalog),
             NeverSchedules(),
             market=SpotMarket.uniform(catalog, discount=0.65, preemptions_per_hour=60.0),
@@ -165,7 +164,7 @@ class TestUnknownTargets:
 
     def test_spot_loop(self, profiles, catalog):
         def spot(events=()):
-            return PreemptibleElasticSimulation(
+            return ElasticServingSimulation(
                 rm2_cluster(profiles, catalog),
                 NeverSchedules(),
                 market=SpotMarket.uniform(
@@ -229,7 +228,7 @@ def build_loop(loop, profiles, catalog, events, empty=False):
             rm2_cluster(profiles, catalog, counts), NeverSchedules(), scripted_events=events
         )
     if loop == "spot":
-        return PreemptibleElasticSimulation(
+        return ElasticServingSimulation(
             rm2_cluster(profiles, catalog, counts),
             NeverSchedules(),
             market=SpotMarket.uniform(catalog, discount=0.65, preemptions_per_hour=60.0),

@@ -27,7 +27,7 @@ from repro.schedulers.kairos_policy import KairosPolicy, MultiModelKairosPolicy
 from repro.sim.cluster import Cluster, MultiModelCluster
 from repro.sim.events import Event, EventKind, PreemptionBurst, ScaleRequest
 from repro.sim.multi_model import MultiModelServingSimulation
-from repro.sim.preemption import PreemptibleElasticSimulation
+from repro.sim.elasticity import ElasticServingSimulation
 from repro.sim.simulation import gaussian_service_noise, simulate_serving
 from repro.workload.generator import (
     WorkloadGenerator,
@@ -182,7 +182,7 @@ def _spot_run(profiles, catalog, *, noise=None):
     )
     queries = WorkloadGenerator(spec).generate(rate_qps=60.0, rng=SEED)
     events = [Event(900.0, EventKind.PREEMPTION_WARNING, PreemptionBurst(count=2))]
-    sim = PreemptibleElasticSimulation(
+    sim = ElasticServingSimulation(
         cluster,
         KairosPolicy(),
         market=market,
@@ -343,8 +343,6 @@ class TestEngineOverhaulByteIdentity:
 
     @pytest.mark.parametrize("noisy,key", [(False, "elastic"), (True, "elastic_noise")])
     def test_elastic(self, profiles, catalog, noisy, key):
-        from repro.sim.elasticity import ElasticServingSimulation
-
         cluster = Cluster(
             HeterogeneousConfig((1, 1, 2, 0), catalog), profiles.models["RM2"], profiles
         )

@@ -32,7 +32,7 @@ from repro.cloud.spot import (
 )
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.cluster import Cluster
-from repro.sim.preemption import PreemptibleElasticSimulation
+from repro.sim.elasticity import ElasticServingSimulation
 from repro.workload.batch_sizes import TruncatedLogNormalBatchSizes
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -244,7 +244,7 @@ class TestSimulationIntegration:
             num_queries=60,
         )
         queries = WorkloadGenerator(spec).generate(rate_qps=60.0, rng=11)
-        sim = PreemptibleElasticSimulation(
+        sim = ElasticServingSimulation(
             cluster,
             KairosPolicy(),
             market=market,

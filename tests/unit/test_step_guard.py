@@ -10,6 +10,7 @@ and the queued events.
 import pytest
 
 from repro.cloud.config import HeterogeneousConfig
+from repro.cloud.spot import SpotMarket
 from repro.pipeline.policy import CriticalPathKairosPolicy
 from repro.pipeline.simulation import PipelineServingSimulation
 from repro.schedulers.kairos_policy import KairosPolicy, MultiModelKairosPolicy
@@ -19,7 +20,6 @@ from repro.sim.elasticity import simulate_elastic_serving
 from repro.sim.engine import step_budget
 from repro.sim.faults import RetryPolicy
 from repro.sim.multi_model import simulate_multi_model_serving
-from repro.sim.preemption import simulate_preemptible_serving
 from repro.sim.simulation import simulate_serving
 from repro.workload.query import Query
 
@@ -99,8 +99,12 @@ def test_elastic_loop(small_budget, profiles, rm2, catalog):
 
 def test_spot_loop(small_budget, profiles, rm2, catalog):
     with pytest.raises(RuntimeError, match="no progress") as excinfo:
-        simulate_preemptible_serving(
-            _single(profiles, rm2, catalog), _stalling(KairosPolicy), _queries()
+        simulate_elastic_serving(
+            _single(profiles, rm2, catalog),
+            _stalling(KairosPolicy),
+            _queries(),
+            market=SpotMarket.uniform(catalog, discount=0.65, preemptions_per_hour=0.0),
+            spot_server_ids=[2],
         )
     _assert_names_stuck_state(excinfo, 1.0 + BUDGET - 1, "QUERY_ARRIVAL")
 

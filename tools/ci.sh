@@ -16,7 +16,10 @@
 # scenarios (the fig20 smoke benchmark runs under `smoke benchmarks` above);
 # and the `health-smoke` stage, a gray-failure campaign (permanent
 # degradations, flaky windows, zombie servers, health scoring, quarantine
-# breakers, hedged dispatch) plus the `gray`-marked tests and an explicit
+# breakers, hedged dispatch), a gray campaign on spot specs alone with the
+# derived spot-disabled identity (the kernel with no market against its
+# elastic twin, and a zero-hazard market's service stream), where the spot
+# market meets quarantine, plus the `gray`-marked tests and an explicit
 # replay of the committed gray scenarios; and the `perfbench-smoke` stage, a
 # tiny untraced and traced run of every workload of the repository benchmark
 # (perfbench/run.py --smoke), which fails on an invariant violation or a
@@ -79,6 +82,7 @@ python tools/fuzz.py --replay tests/regression/scenarios/pipeline-*.json
 
 echo "== health-smoke: gray-failure fuzzing + gray-marked tests + gray corpus replay =="
 python tools/fuzz.py --budget 25 --seed 4 --gray
+python tools/fuzz.py --budget 25 --seed 5 --gray --loop spot --derived
 python -m pytest tests -m gray -q --hypothesis-profile=ci "$@"
 python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
 
