@@ -19,23 +19,24 @@ Incremental builds
 Consecutive scheduling rounds see nearly identical inputs: the pending set changes by
 a handful of arrivals/commits (tracked by
 :attr:`~repro.sim.pending.PendingQueue.version`), and only servers that dispatched or
-completed since the last round have new column data (tracked by
-:attr:`~repro.sim.server.ServerInstance.state_version`).  :class:`RoundColumnState`
+completed since the last round have new column data.  :class:`RoundColumnState`
 exploits this: it pins the column layout (type grouping, weights targets, dispatch
-overheads, server ids) once per policy bind and, per round, re-reads *only* the
-servers whose state version moved and refreshes the offset column in place.
+overheads, server ids) once per policy bind, and servers push each change to it as it
+happens (every :attr:`~repro.sim.server.ServerInstance.state_version` bump adds the
+server to the state's dirty set), so a round re-reads only the servers that changed
+and evaluates the offset column only when it reads it.
 
 Eligibility is a mask over that stable layout, not a re-gathered view: each depth
-transition across 1 flips one mask bit and one per-group count.  Near capacity most
-rounds have some server with a queued dispatch, and nine in ten rounds have one
-pending query, so those rounds score the full layout (skipping blocks with no
-eligible server, setting ineligible columns to ``+inf`` before the first-minimum
-argmin) — the same decision, estimator calls and RNG stream as the round over the
-eligible servers.  A multi-row round with exactly one eligible server is the
-transposed degenerate shape: its matching picks the first-minimum row of one
-column, which the policy scores directly against that server
-(:meth:`RoundColumnState.sole_eligible`).  Other multi-row rounds match over a
-gathered eligible view, since penalty columns in the matrix would join the
+transition across 1 flips one mask bit.  Near capacity most rounds have some server
+with a queued dispatch, and nine in ten rounds have one pending query.  Those rounds
+read each block's eligible servers in busy-horizon order (its *runs*): within a run
+the single-query score is monotone in the horizon, so the first minimum of the
+row is found block by block without scoring it — the same decision, estimator calls
+and RNG stream as the round over the eligible servers.  A multi-row round with
+exactly one eligible server is the transposed degenerate shape: its matching picks
+the first-minimum row of one column, which the policy scores directly against that
+server (:meth:`RoundColumnState.sole_eligible`).  Other multi-row rounds match over
+a gathered eligible view, since penalty columns in the matrix would join the
 matching and change its tie-breaks.  The shared public assembly cores
 (:func:`assemble_cost_matrix` / :func:`assemble_multi_model`) guarantee the
 incremental path is element-wise identical to the from-scratch builders (locked
@@ -44,6 +45,7 @@ down by the golden and fast-path suites).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -273,7 +275,6 @@ def build_cost_matrix(
 # Incremental column-side state (one instance per policy bind)
 # ---------------------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RoundColumns:
     """A column view produced by :class:`RoundColumnState`.
 
@@ -281,10 +282,73 @@ class RoundColumns:
     container's server index (what scheduling decisions address).
     """
 
-    indices: List[int]
-    server_ids: Tuple[int, ...]
-    offsets: np.ndarray
-    groups: Sequence[Tuple[object, ColumnIndex]]
+    __slots__ = ("indices", "server_ids", "offsets", "groups")
+
+    def __init__(
+        self,
+        indices: List[int],
+        server_ids: Tuple[int, ...],
+        offsets: np.ndarray,
+        groups: Sequence[Tuple[object, ColumnIndex]],
+    ):
+        self.indices = indices
+        self.server_ids = server_ids
+        self.offsets = offsets
+        self.groups = groups
+
+
+class _FullLayout(RoundColumns):
+    """The bind's full-layout view; ``offsets`` is evaluated on its first read
+    after each :meth:`RoundColumnState.refresh`, so rounds that never read it
+    (single-query rounds) never compute it."""
+
+    __slots__ = ("_busy", "_overhead", "_buffer", "_now", "_fresh")
+
+    def __init__(self, indices, server_ids, groups, busy, overhead):
+        self.indices = indices
+        self.server_ids = server_ids
+        self.groups = groups
+        self._busy = busy  # the state's busy horizons, updated in place per refresh
+        self._overhead = overhead
+        self._buffer = np.empty(len(indices), dtype=float)
+        self._now = 0.0
+        self._fresh = False
+
+    @property
+    def offsets(self) -> np.ndarray:  # type: ignore[override]
+        """Per-column remaining busy time plus dispatch overhead at the last refresh."""
+        offsets = self._buffer
+        if not self._fresh:
+            np.subtract(self._busy, self._now, out=offsets)
+            np.maximum(offsets, 0.0, out=offsets)
+            offsets += self._overhead
+            self._fresh = True
+        return offsets
+
+
+class _Run:
+    """The eligible servers of one block that share a dispatch overhead.
+
+    Their offsets, and so their single-query scores, are monotone in the busy
+    horizon.  ``idle`` has bit ``k`` set for each server ``k`` already idle at the
+    last refresh (all share the offset ``0.0 + overhead``), ``busy`` lists the
+    others as ``(horizon, index)`` in ascending order, and ``bits`` has the bits of
+    both.
+    """
+
+    __slots__ = ("code", "overhead", "idle_offset", "idle", "busy", "bits")
+
+    def __init__(self, code: int, overhead: float):
+        self.code = code
+        self.overhead = overhead
+        self.idle_offset = 0.0 + overhead
+        self.idle = 0
+        self.busy: List[Tuple[float, int]] = []
+        self.bits = 0
+
+
+#: ``RoundColumnState._place`` marker of an eligible server that is idle.
+_IDLE = "idle"
 
 
 class RoundColumnState:
@@ -292,17 +356,20 @@ class RoundColumnState:
 
     The static layout — type grouping, dispatch overheads, server ids — is derived
     once, and :meth:`refresh` returns it as one stable full-layout view per bind.
-    Per round only servers whose
-    :attr:`~repro.sim.server.ServerInstance.state_version` moved are re-read (one
-    attribute probe per unchanged server), and the offset column is evaluated as one
-    whole-array operation into a persistent buffer.
+    Servers push their changes: the state registers a dirty set with each server
+    (see :attr:`~repro.sim.server.ServerInstance.state_version`), every change adds
+    the server's index, and a round re-reads only those servers.  A fresh state
+    starts with every server dirty, so its first round reads them all.  The offset
+    column is evaluated only when a round reads it.
 
     Eligibility (local queue depth <= 1) is kept as a mask over that stable layout
     instead of a re-gathered view: every depth transition across 1 updates the
-    persistent :attr:`ineligible` mask and the per-group :attr:`eligible_counts`, so
-    a round with queued dispatches costs nothing beyond the transitions themselves.
-    Single-query rounds score the full layout and mask the ineligible columns;
-    multi-row rounds with one eligible server read it from :meth:`sole_eligible`;
+    persistent :attr:`ineligible` mask and its run's bits (which
+    :attr:`eligible_counts` counts), so a round with queued dispatches costs nothing
+    beyond the transitions themselves.
+    Single-query rounds read the eligible servers of each block from :attr:`runs`,
+    ordered by busy horizon; multi-row rounds with one eligible server read it from
+    :meth:`sole_eligible`;
     other multi-row rounds ask :meth:`eligible_view` for the filtered view, whose group
     structure preserves first-occurrence order (and :meth:`call_order` gives the
     same order over the full layout's groups), so estimator call order — and
@@ -313,22 +380,23 @@ class RoundColumnState:
     __slots__ = (
         "servers",
         "_keys",
-        "_versions",
+        "_dirty",
         "_busy",
-        "_depths",
         "_over_depth",
-        "_overhead",
-        "_offsets_buf",
         "_server_ids",
         "codes",
-        "_code_list",
         "_keys_by_code",
         "_full_columns",
         "_contiguous",
         "_order",
         "_n",
         "ineligible",
-        "eligible_counts",
+        "runs",
+        "group_runs",
+        "_run_of",
+        "_place",
+        "_next_expiry",
+        "now_ms",
     )
 
     def __init__(
@@ -344,27 +412,22 @@ class RoundColumnState:
         )
         if len(self._keys) != n:
             raise ValueError("keys must parallel the server list")
-        self._versions: List[int] = [-1] * n
-        self._busy = np.zeros(n, dtype=float)
-        self._depths: List[int] = [0] * n
+        self._busy: List[float] = [0.0] * n
         self._over_depth = 0  # servers with local queue depth > 1 (ineligible)
-        self._overhead = np.asarray(
-            [s.dispatch_overhead_ms for s in self.servers], dtype=float
-        )
-        self._offsets_buf = np.empty(n, dtype=float)
+        overhead = [s.dispatch_overhead_ms for s in self.servers]
         self._server_ids = [s.server_id for s in self.servers]
         code_of: Dict[object, int] = {}
         codes = [code_of.setdefault(key, len(code_of)) for key in self._keys]
-        self._code_list = codes
         #: Per server of the full layout, the position of its block in ``groups``
         #: (codes number the keys in first-occurrence order).
         self.codes = np.asarray(codes, dtype=np.intp)
         self._keys_by_code = list(code_of)
-        self._full_columns = RoundColumns(
-            indices=list(range(n)),
-            server_ids=tuple(self._server_ids),
-            offsets=self._offsets_buf,
-            groups=self._groups_of(self.codes),
+        self._full_columns = _FullLayout(
+            list(range(n)),
+            tuple(self._server_ids),
+            self._groups_of(self.codes),
+            self._busy,
+            np.asarray(overhead, dtype=float),
         )
         self._contiguous = all(
             isinstance(cols, slice) for _, cols in self._full_columns.groups
@@ -372,10 +435,37 @@ class RoundColumnState:
         self._order: Optional[List[int]] = None
         #: Persistent mask over the full layout: True where a server is ineligible.
         self.ineligible = np.zeros(n, dtype=bool)
-        #: Eligible servers per group of the full layout (indexed like ``groups``).
-        self.eligible_counts: List[int] = [0] * len(code_of)
-        for code in codes:
-            self.eligible_counts[code] += 1
+        #: One :class:`_Run` per (group, dispatch overhead), first-occurrence order,
+        #: and each group's runs (indexed like ``groups``).
+        self.runs: List[_Run] = []
+        self.group_runs: List[List[_Run]] = [[] for _ in code_of]
+        run_at: Dict[Tuple[int, float], _Run] = {}
+        self._run_of: List[_Run] = []
+        for k, (code, oh) in enumerate(zip(codes, overhead)):
+            run = run_at.get((code, oh))
+            if run is None:
+                run = run_at[(code, oh)] = _Run(code, oh)
+                self.runs.append(run)
+                self.group_runs[code].append(run)
+            run.bits |= 1 << k
+            self._run_of.append(run)
+        #: Per server: ``None`` when ineligible, else ``_IDLE`` or its entry in its
+        #: run's ``busy`` list.  Every server starts idle and eligible (depth 0).
+        self._place: List[object] = [_IDLE] * n
+        for run in self.runs:
+            run.idle = run.bits
+        self._next_expiry = float("-inf")
+        self.now_ms = float("-inf")
+        # every server starts dirty: a fresh state reads them all on its first round
+        self._dirty = set(range(n))
+        for k, server in enumerate(self.servers):
+            server._sinks += ((self._dirty, k),)
+
+    def __del__(self):
+        # stop the servers pushing to a state nobody reads any more
+        dirty = getattr(self, "_dirty", None)
+        for server in getattr(self, "servers", ()):
+            server._sinks = tuple(e for e in server._sinks if e[0] is not dirty)
 
     @property
     def masked(self) -> bool:
@@ -396,44 +486,90 @@ class RoundColumnState:
         k = int(self.ineligible.argmin())
         return k, self._keys[k]
 
+    def offset(self, k: int) -> float:
+        """Column ``k``'s entry of the offsets at the last refresh, as a scalar."""
+        busy = self._busy[k]
+        now_ms = self.now_ms
+        return (busy - now_ms if busy > now_ms else 0.0) + self._run_of[k].overhead
+
     def refresh(self, now_ms: float) -> Optional[RoundColumns]:
         """The full-layout view at ``now_ms``; ``None`` when nothing is eligible.
 
-        The view is the same object for the whole bind, its ``offsets`` buffer is
-        rewritten in place, and :attr:`ineligible` / :attr:`eligible_counts` say
-        which of its columns are eligible — all valid until the next call only.
+        The view is the same object for the whole bind, its ``offsets`` are
+        evaluated for ``now_ms`` on first read, and :attr:`ineligible` /
+        :attr:`eligible_counts` / :attr:`runs` say which of its columns are
+        eligible — all valid until the next call only.
         """
         n = self._n
         if n == 0:
             return None  # an empty container has no eligible columns, ever
-        versions = self._versions
-        depths = self._depths
-        busy = self._busy
-        for k, s in enumerate(self.servers):
-            ver = s.state_version
-            if ver != versions[k]:
-                versions[k] = ver
-                busy[k] = s.busy_until_ms
-                depth = s.local_queue_depth
-                old = depths[k]
-                if depth != old:
-                    depths[k] = depth
-                    out = depth > 1
-                    if out != (old > 1):
-                        # only transitions across 1 touch the mask and the counts,
-                        # so a round costs nothing for servers whose eligibility held
-                        self._over_depth += 1 if out else -1
-                        self.ineligible[k] = out
-                        self.eligible_counts[self._code_list[k]] -= 1 if out else -1
-                        self._order = None
-
+        dirty = self._dirty
+        if now_ms < self.now_ms:
+            dirty.update(range(n))  # time went back: re-key every idle server
+        self.now_ms = now_ms
+        if dirty:
+            self._reread(dirty, now_ms)
+        if now_ms >= self._next_expiry:
+            self._expire(now_ms)
+        full = self._full_columns
+        full._now = now_ms
+        full._fresh = False
         if self._over_depth == n:
             return None
-        offsets = self._offsets_buf
-        np.subtract(busy, now_ms, out=offsets)
-        np.maximum(offsets, 0.0, out=offsets)
-        offsets += self._overhead
-        return self._full_columns
+        return full
+
+    def _reread(self, dirty, now_ms: float) -> None:
+        """Re-read the servers in ``dirty`` (and empty it)."""
+        servers = self.servers
+        busy_of = self._busy
+        place = self._place
+        run_of = self._run_of
+        expiry = self._next_expiry
+        for k in dirty:
+            s = servers[k]
+            busy = busy_of[k] = s.busy_until_ms
+            run = run_of[k]
+            old = place[k]
+            if old is _IDLE:
+                run.idle ^= 1 << k
+            elif old is not None:
+                del run.busy[bisect_left(run.busy, old)]
+            out = s.local_queue_depth > 1
+            if out is not (old is None):
+                # an eligibility transition across depth 1: the only change that
+                # touches the mask, the counts and (when a block empties or
+                # refills, or the layout is non-contiguous) the call order
+                self._over_depth += 1 if out else -1
+                self.ineligible[k] = out
+                bits = run.bits = run.bits ^ (1 << k)
+                if not bits or bits == 1 << k or not self._contiguous:
+                    self._order = None
+            if out:
+                place[k] = None
+            elif busy <= now_ms:
+                run.idle |= 1 << k
+                place[k] = _IDLE
+            else:
+                entry = place[k] = (busy, k)
+                insort(run.busy, entry)
+                if busy < expiry:
+                    expiry = busy
+        dirty.clear()
+        self._next_expiry = expiry
+
+    def _expire(self, now_ms: float) -> None:
+        """Move to ``idle`` every eligible server whose busy horizon has passed."""
+        place = self._place
+        expiry = float("inf")
+        for run in self.runs:
+            busy = run.busy
+            while busy and busy[0][0] <= now_ms:
+                k = busy.pop(0)[1]
+                run.idle |= 1 << k
+                place[k] = _IDLE
+            if busy and busy[0][0] < expiry:
+                expiry = busy[0][0]
+        self._next_expiry = expiry
 
     def call_order(self) -> List[int]:
         """Positions in the full layout's ``groups`` of the blocks holding eligible
@@ -445,20 +581,20 @@ class RoundColumnState:
         """
         order = self._order
         if order is None:
-            counts = self.eligible_counts
-            order = [g for g in range(len(counts)) if counts[g]]
-            if not self._contiguous and self._over_depth:
-                # blocks in order of their first eligible server (codes number the
-                # blocks, so a scan of the codes finds it)
-                wanted = len(order)
-                order = []
-                for code, out in zip(self._code_list, self.ineligible.tolist()):
-                    if not out and code not in order:
-                        order.append(code)
-                        if len(order) == wanted:
-                            break
-            self._order = order
+            firsts = []
+            for g, runs in enumerate(self.group_runs):
+                bits = 0
+                for run in runs:
+                    bits |= run.bits
+                if bits:
+                    firsts.append(((bits & -bits).bit_length(), g))
+            order = self._order = [g for _, g in sorted(firsts)]
         return order
+
+    @property
+    def eligible_counts(self) -> List[int]:
+        """Eligible servers per group of the full layout (indexed like ``groups``)."""
+        return [sum(run.bits.bit_count() for run in runs) for runs in self.group_runs]
 
     def eligible_view(self) -> RoundColumns:
         """The eligible columns of the last :meth:`refresh` as a filtered view.

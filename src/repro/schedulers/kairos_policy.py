@@ -91,22 +91,23 @@ def _is_hopeless(
 
 
 class _SingleQueryPlan:
-    """Constants and scratch of single-query rounds for one (layout, model) pair.
+    """Constants of single-query rounds for one (layout, model) pair.
 
-    Built once per bind and coefficient refresh — group validation, the per-column
-    weights and the Eq. 8 penalty already multiplied by them — so a round allocates
-    nothing.  ``model_name`` ``None`` is the single-model layout, keyed by type name;
-    otherwise the layout is keyed by ``(model, type)`` and other models' blocks are
-    cross-model: never predicted, never feasible.
+    Built once per bind and coefficient refresh — group validation, the per-block
+    weights and the Eq. 8 penalty already multiplied by them — plus the slots of
+    the round's per-block predictions.  ``model_name`` ``None`` is the single-model
+    layout, keyed by type name; otherwise the layout is keyed by ``(model, type)``
+    and other models' blocks are cross-model: never predicted, never feasible.
     """
 
     def __init__(
         self, columns, coefficients_by_model, model_name, qos_ms, headroom, penalty_factor
     ):
-        n = columns.offsets.shape[0]
+        n = len(columns.indices)
         weights = np.empty(n)
         same_model = np.ones(n, dtype=bool)
         self.types: List[Optional[str]] = []
+        self.block_weights: List[float] = []
         for key, cols in columns.groups:
             group_model, type_name = (None, key) if model_name is None else key
             coefficients = coefficients_by_model.get(group_model)
@@ -118,44 +119,56 @@ class _SingleQueryPlan:
             if coefficients[type_name] <= 0:
                 raise ValueError("heterogeneity coefficients must be positive")
             weights[cols] = coefficients[type_name]
+            self.block_weights.append(float(coefficients[type_name]))
             self.types.append(type_name if group_model == model_name else None)
             same_model[cols] = group_model == model_name
         qos_ms = float(qos_ms)
+        penalty = float(penalty_factor) * qos_ms
         self.hopeless_types = tuple(t for t in self.types if t is not None)
         self.same_model = None if same_model.all() else same_model
         self.weights = weights
         # the matrix path's ``np.where(feasible, usage, penalty) * weights`` value
         # of an infeasible column
-        self.penalty_weights = (float(penalty_factor) * qos_ms) * weights
+        self.penalty_weights = penalty * weights
+        self.block_penalties = [penalty * w for w in self.block_weights]
         self.qos_budget = float(headroom) * qos_ms
         self.threshold = self.qos_budget + 1e-9
-        # zeros, not empty: blocks with no eligible server keep finite predictions,
-        # so the masked columns' arithmetic never sees uninitialised memory
-        self.by_group = np.zeros(len(self.types))
-        self.usage = np.empty(n)
-        self.scored = np.empty(n)
-        self.infeasible = np.empty(n, dtype=bool)
+        # A block's score is monotone in the offset when every feasible score stays
+        # at or below the penalty (and no weight is infinite): then the blocks'
+        # busy-horizon orders find the first minimum (see _SingleQueryScorer)
+        self.monotone = self.threshold <= penalty and bool(np.isfinite(weights).all())
+        self.predictions: List[float] = [0.0] * len(self.types)
+        self.n = n
 
 
 class _SingleQueryScorer:
     """One-pending-query rounds of both Kairos policies, without matrix or solver.
 
     A single-query matching is an argmin over one weighted row (identical to the
-    round solver's single-row fast path).  The scorer reproduces that row over the
-    bind's full column layout with the matrix path's per-element operations —
-    ``offset + prediction``, the Eq. 3 fold against ``qos_headroom * qos + 1e-9``,
-    the Eq. 8 penalty and the Eq. 2 weighting — sets ineligible columns to
-    ``+inf``, and takes the same first-minimum ``argmin``, so the decision is
-    byte-identical to the round over the eligible servers.
+    round solver's single-row fast path): the matrix path's per-element
+    operations — ``offset + prediction``, the Eq. 3 fold against
+    ``qos_headroom * qos + 1e-9``, the Eq. 8 penalty and the Eq. 2 weighting —
+    with ineligible columns left out, and the first minimum taken.
+
+    Every column of one block shares the prediction, the weight and the penalty,
+    and the columns of one :class:`~repro.core.cost_matrix.RoundColumnState` run
+    also share the dispatch overhead.  Within a run the score is then monotone in
+    the busy horizon, so the run's minimum is its first entry, and the entries
+    after it are read only while their score ties it (a lower index wins a tie).
+    A block scored at the penalty is penalized throughout, so its lowest eligible
+    index wins there.  The round's column is the lowest index among the runs that
+    reach the smallest score — ``argmin``'s first minimum over the full row, at
+    O(runs) work.  A plan whose scores are not monotone (a penalty below the QoS
+    budget, an infinite weight) scores the full layout with numpy instead,
+    ineligible columns set to ``+inf``.
 
     Predictions come one per eligible block, in
-    :meth:`~repro.core.cost_matrix.RoundColumnState.call_order`, and are spread over
-    the columns by one indexed read of the layout's group codes.  An estimator with
-    a ``belief_version`` answers through :meth:`LatencyEstimator.predict_ms`, whose
-    value equals its 1-element vector prediction by contract.  An unversioned one
-    (a stochastic estimator) keeps the matrix path's per-block ``predict_many_ms``
-    calls, so it draws exactly the same random numbers.  Blocks without an eligible
-    server, and other models' blocks, issue no estimator call.
+    :meth:`~repro.core.cost_matrix.RoundColumnState.call_order`.  An estimator
+    with a ``belief_version`` answers through :meth:`LatencyEstimator.predict_ms`,
+    whose value equals its 1-element vector prediction by contract.  An
+    unversioned one (a stochastic estimator) keeps the matrix path's per-block
+    ``predict_many_ms`` calls, so it draws exactly the same random numbers.  Blocks
+    without an eligible server, and other models' blocks, issue no estimator call.
     """
 
     def __init__(self, qos_headroom: float, penalty_factor: float, defer: bool):
@@ -197,42 +210,96 @@ class _SingleQueryScorer:
             )
 
         types = plan.types
-        by_group = plan.by_group
+        predictions = plan.predictions
         if getattr(estimator, "belief_version", None) is None:
             batches = np.array([query.batch_size])
             predict_many = estimator.predict_many_ms
-            for g in columns_state.call_order():
-                if types[g] is not None:
-                    by_group[g] = predict_many(types[g], batches)[0]
+
+            def predict(type_name, _):
+                return float(predict_many(type_name, batches)[0])
+
         else:
             predict = estimator.predict_ms
-            batch = query.batch_size
-            for g in columns_state.call_order():
-                if types[g] is not None:
-                    by_group[g] = predict(types[g], batch)
+        batch = query.batch_size
+        weights = plan.block_weights
+        penalties = plan.block_penalties
+        threshold = plan.threshold
+        monotone = plan.monotone
+        group_runs = columns_state.group_runs
+        now = columns_state.now_ms  # the refresh instant the offsets are taken at
+        wait = max(0.0, now_ms - query.arrival_time_ms)
+        best_score, best_col, best_group = float("inf"), plan.n, None
+        for g in columns_state.call_order():
+            type_name = types[g]
+            if type_name is not None:
+                p = predictions[g] = predict(type_name, batch)
+            if not monotone:
+                continue
+            penalty = penalties[g]
+            for run in group_runs[g]:
+                bits = run.bits
+                if not bits:
+                    continue
+                score = penalty
+                if type_name is not None:
+                    idle = run.idle
+                    if idle:
+                        col = (idle & -idle).bit_length() - 1
+                        usage = run.idle_offset + p
+                        i = 0
+                    else:
+                        busy, col = run.busy[0]
+                        usage = ((busy - now) + run.overhead) + p
+                        i = 1
+                    if usage + wait <= threshold:
+                        score = usage * weights[g]
+                if score > best_score:
+                    continue  # the run's first minimum loses whatever its index
+                if score == penalty:
+                    col = (bits & -bits).bit_length() - 1  # every column scores it
+                elif bits & ((1 << col) - 1):
+                    # a busier server with a lower index ties only by rounding
+                    w = weights[g]
+                    overhead = run.overhead
+                    for busy, k in run.busy[i:]:
+                        usage = ((busy - now) + overhead) + p
+                        if usage * w != score or not usage + wait <= threshold:
+                            break
+                        if k < col:
+                            col = k
+                if score < best_score or col < best_col:
+                    best_score, best_col, best_group = score, col, g
 
-        usage, scored, infeasible = plan.usage, plan.scored, plan.infeasible
-        by_group.take(columns_state.codes, out=usage, mode="clip")
-        np.add(columns.offsets, usage, out=usage)
-        np.add(usage, max(0.0, now_ms - query.arrival_time_ms), out=scored)
-        np.less_equal(scored, plan.threshold, out=infeasible)  # feasible, for now
-        same_model = plan.same_model
-        if same_model is not None:
-            infeasible &= same_model
-        np.logical_not(infeasible, out=infeasible)
-        np.multiply(usage, plan.weights, out=scored)
-        np.copyto(scored, plan.penalty_weights, where=infeasible)
-        if columns_state.masked:
-            np.copyto(scored, np.inf, where=columns_state.ineligible)
-        col = int(scored.argmin())
-        if infeasible[col]:
-            if same_model is not None and not same_model[col]:
-                return []  # an instance of another model can never serve the query
-            if self._defer and not _is_hopeless(
+        if monotone:
+            col, g = best_col, best_group
+            # a score below its block's penalty came from a feasible usage
+            feasible = best_score != penalties[g]
+        else:
+            col = self._first_minimum_numpy(plan, columns, columns_state, wait)
+            g = columns_state.codes[col]
+            feasible = False
+        if types[g] is None:
+            return []  # an instance of another model can never serve the query
+        if not feasible:
+            feasible = columns_state.offset(col) + predictions[g] + wait <= threshold
+            if not feasible and self._defer and not _is_hopeless(
                 estimator, plan.qos_budget, query, plan.hopeless_types, now_ms
             ):
                 return []
         return [(query, columns.indices[col])]
+
+    @staticmethod
+    def _first_minimum_numpy(plan: _SingleQueryPlan, columns, columns_state, wait):
+        """The first-minimum column over the full layout, scored with numpy."""
+        usage = np.asarray(plan.predictions).take(columns_state.codes)
+        usage = columns.offsets + usage
+        feasible = usage + wait <= plan.threshold
+        if plan.same_model is not None:
+            feasible &= plan.same_model
+        scored = np.where(feasible, usage * plan.weights, plan.penalty_weights)
+        if columns_state.masked:
+            scored[columns_state.ineligible] = np.inf
+        return int(scored.argmin())
 
 
 def _single_server_decisions(
@@ -240,7 +307,6 @@ def _single_server_decisions(
     considered: Sequence[Query],
     batches: np.ndarray,
     waits: np.ndarray,
-    offsets: np.ndarray,
     columns_state: RoundColumnState,
     defer: bool,
     now_ms: float,
@@ -262,7 +328,7 @@ def _single_server_decisions(
         distributor.estimator.predict_many_ms(type_name, batches), dtype=float
     )
     qos_ms = distributor.qos_ms
-    usage = offsets[index] + predicted
+    usage = columns_state.offset(index) + predicted
     feasible = (usage + waits) <= distributor.qos_headroom * qos_ms + 1e-9
     weighted = np.where(feasible, usage, distributor.penalty_factor * qos_ms) * coefficient
     if not np.isfinite(weighted).all():
@@ -445,7 +511,6 @@ class KairosPolicy(SchedulingPolicy):
                 considered,
                 batches,
                 waits,
-                columns.offsets,
                 columns_state,
                 self._defer_violations,
                 now_ms,

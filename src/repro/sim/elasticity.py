@@ -255,6 +255,22 @@ class ElasticSimulationReport:
         return data
 
 
+def _ignore_event(event, now, metrics, ledger, scale_log, warmup_ids, events):
+    return False, False
+
+
+def _quiet(handler, logged: bool = False):
+    """Adapt ``handler(payload, now, events)`` (``scale_log`` in place of ``events``
+    when ``logged``) — a kind that changes no membership and admits nothing — to
+    the handler table's signature."""
+
+    def handle(event, now, metrics, ledger, scale_log, warmup_ids, events):
+        handler(event.payload, now, scale_log if logged else events)
+        return False, False
+
+    return handle
+
+
 class ElasticServingSimulation:
     """Serve a query stream on a cluster that can grow and shrink mid-run (the kernel).
 
@@ -471,6 +487,14 @@ class ElasticServingSimulation:
             raise ValueError("scripted events must be SCALE_UP or SCALE_DOWN")
         if not isinstance(event.payload, ScaleRequest):
             raise ValueError("scripted scale events must carry a ScaleRequest payload")
+        if (
+            event.kind == EventKind.SCALE_UP
+            and event.payload.market == MARKET_SPOT
+            and self.market is None
+        ):
+            raise ValueError(
+                f"spot scale-up for {event.payload.type_name!r} without a SpotMarket"
+            )
 
     def run(self, queries: Sequence[Query]) -> ElasticSimulationReport:
         """Serve ``queries`` once.  The driver is one-shot: a run permanently mutates
@@ -528,6 +552,7 @@ class ElasticServingSimulation:
         view = self.cluster.active_view()
         schedulable = len(view)
         self._bind(view)
+        self._handlers = self._handler_table()
         max_steps = step_budget(n, self.retry)
         steps = 0
         # fixed for the run: every input (faults, retry, monitor, hedges, market)
@@ -1565,227 +1590,238 @@ class ElasticServingSimulation:
         warmup_ids,
         events: EventQueue,
     ) -> Tuple[bool, bool]:
-        """Apply one event; returns ``(membership_changed, was_arrival)``."""
-        if event.kind == EventKind.SERVICE_COMPLETION:
-            record: QueryRecord = event.payload
-            # Without in-flight tracking nothing can be voided or hedged, so every
-            # completion is genuine and that bookkeeping is skipped (the static hot
-            # path).
-            swallowed = False
+        """Apply one event; returns ``(membership_changed, was_arrival)``.
+
+        The handler comes from the run's table (:meth:`_handler_table`), one
+        indexed read instead of a chain of ``EventKind`` comparisons.
+        """
+        return self._handlers[event.kind](
+            event, now, metrics, ledger, scale_log, warmup_ids, events
+        )
+
+    def _handler_table(self) -> List:
+        """Each event kind's handler, indexed by the kind's value; every handler
+        takes :meth:`_handle`'s arguments and returns its pair.  Built once per run."""
+        table = [_ignore_event] * len(EventKind)  # CONTROL and future kinds: no-op
+        table[EventKind.SERVICE_COMPLETION] = self._on_completion
+        table[EventKind.QUERY_ARRIVAL] = self._on_arrival
+        table[EventKind.SCALE_UP] = self._on_scale_up
+        table[EventKind.SCALE_DOWN] = self._on_scale_down
+        table[EventKind.INSTANCE_READY] = self._on_instance_ready
+        # the fault, gray-failure and spot handlers, each on the arguments it reads
+        warn = EventKind.PREEMPTION_WARNING
+        table[warn] = lambda e, now, m, ledger, log, w, events: (
+            self._handle_warning(e.payload, now, events, log),
+            False,
+        )
+        table[EventKind.PREEMPTED] = lambda e, now, m, ledger, log, w, events: (
+            self._handle_kill(e.payload, now, events, ledger, log),
+            False,
+        )
+        table[EventKind.INSTANCE_FAILED] = lambda e, now, m, ledger, log, w, events: (
+            self._handle_instance_failure(e.payload, now, events, ledger, log),
+            False,
+        )
+        table[EventKind.HEALTH_CHECK] = lambda e, now, m, ledger, log, w, events: (
+            self._handle_health_check(e.payload, now, events, ledger, log),
+            False,
+        )
+        table[EventKind.HEALTH_PROBE] = lambda e, now, m, ledger, log, w, events: (
+            self._handle_health_probe(e.payload, now, events, log),
+            False,
+        )
+        for kind, handler in (
+            (EventKind.SLOWDOWN_BEGIN, self._handle_slowdown_begin),
+            (EventKind.SLOWDOWN_END, self._handle_slowdown_end),
+            (EventKind.RESPONSE_TIMEOUT, self._handle_response_timeout),
+            (EventKind.FLAKY_BEGIN, self._handle_flaky_begin),
+            (EventKind.FLAKY_END, self._handle_flaky_end),
+            (EventKind.HEDGE_TIMER, self._handle_hedge_timer),
+        ):
+            table[kind] = _quiet(handler)
+        table[EventKind.DEGRADATION_ONSET] = _quiet(
+            self._handle_degradation_onset, logged=True
+        )
+        table[EventKind.ZOMBIE_ONSET] = _quiet(self._handle_zombie_onset, logged=True)
+        return table
+
+    def _on_completion(
+        self, event, now, metrics, ledger, scale_log, warmup_ids, events
+    ) -> Tuple[bool, bool]:
+        """A ``SERVICE_COMPLETION``: settle the attempt, record it, learn from it."""
+        record: QueryRecord = event.payload
+        # Without in-flight tracking nothing can be voided or hedged, so every
+        # completion is genuine and that bookkeeping is skipped (the static hot
+        # path).
+        swallowed = False
+        if self._track_inflight:
+            # a voided attempt's completion drains the server's local queue (the
+            # GPU finished the work) but the client path already moved on
+            swallowed = id(record) in self._voided
+            if swallowed:
+                self._voided.discard(id(record))
+                try:
+                    self.cluster.server_by_id(record.server_id)
+                except KeyError:
+                    # the server crashed or was killed: its queue went with it,
+                    # and this completion never happened (ids are never reused)
+                    return False, False
+            else:
+                inflight = self._inflight.get(record.server_id)
+                if inflight is not None:
+                    inflight.remove(record)
+                    if not inflight:
+                        del self._inflight[record.server_id]
+        server = self.cluster.server_by_id(record.server_id)
+        server.complete_one()
+        health_changed = False
+        if not swallowed:
+            if self._outstanding > 1:
+                self._outstanding -= 1  # _settle_outstanding's common case
+            else:
+                self._settle_outstanding(events)
+            if record.query.query_id not in warmup_ids:
+                metrics.record(record)
+                if self.max_violations is not None and not record.meets_qos(
+                    self._partition_of(record.server_id).model.qos_ms
+                ):
+                    self._violations += 1
+                if self.admission is not None:
+                    self.admission.observe_latency(record.latency_ms)
+            self.policy.observe_completion(record)
             if self._track_inflight:
-                # a voided attempt's completion drains the server's local queue (the
-                # GPU finished the work) but the client path already moved on
-                swallowed = id(record) in self._voided
-                if swallowed:
-                    self._voided.discard(id(record))
-                    try:
-                        self.cluster.server_by_id(record.server_id)
-                    except KeyError:
-                        # the server crashed or was killed: its queue went with it,
-                        # and this completion never happened (ids are never reused)
-                        return False, False
-                else:
-                    inflight = self._inflight.get(record.server_id)
-                    if inflight is not None:
-                        inflight.remove(record)
-                        if not inflight:
-                            del self._inflight[record.server_id]
-            server = self.cluster.server_by_id(record.server_id)
-            server.complete_one()
-            health_changed = False
-            if not swallowed:
-                if self._outstanding > 1:
-                    self._outstanding -= 1  # _settle_outstanding's common case
-                else:
-                    self._settle_outstanding(events)
-                if record.query.query_id not in warmup_ids:
-                    metrics.record(record)
-                    if self.max_violations is not None and not record.meets_qos(
-                        self._partition_of(record.server_id).model.qos_ms
-                    ):
-                        self._violations += 1
-                    if self.admission is not None:
-                        self.admission.observe_latency(record.latency_ms)
-                self.policy.observe_completion(record)
-                if self._track_inflight:
-                    pair = self._hedge_pairs.get(record.query.query_id)
-                    if pair is not None:
-                        # first genuine completion wins the race; the partner is
-                        # cancelled and its partial occupancy billed as hedge cost
-                        primary, duplicate = pair
-                        if record is duplicate:
-                            self.hedge_wins += 1
-                            self._cancel_hedge_loser(primary, now, ledger)
-                        else:
-                            self._cancel_hedge_loser(duplicate, now, ledger)
-                    health_changed = self._observe_health(
-                        record, server, now, events, ledger, scale_log
-                    )
-            if server.drained:
+                pair = self._hedge_pairs.get(record.query.query_id)
+                if pair is not None:
+                    # first genuine completion wins the race; the partner is
+                    # cancelled and its partial occupancy billed as hedge cost
+                    primary, duplicate = pair
+                    if record is duplicate:
+                        self.hedge_wins += 1
+                        self._cancel_hedge_loser(primary, now, ledger)
+                    else:
+                        self._cancel_hedge_loser(duplicate, now, ledger)
+                health_changed = self._observe_health(
+                    record, server, now, events, ledger, scale_log
+                )
+        if server.drained:
+            self.cluster.remove_server(server.server_id)
+            ledger.stop(server.server_id, now)
+            scale_log.append(
+                ScaleLogEntry(now, "decommission", server.type_name, 1)
+            )
+            return True, False
+        return health_changed, False
+
+    def _on_arrival(
+        self, event, now, metrics, ledger, scale_log, warmup_ids, events
+    ) -> Tuple[bool, bool]:
+        """A ``QUERY_ARRIVAL`` event: a re-queue, or an arrival for the controller."""
+        query: Query = event.payload
+        if query.query_id in self._requeued_ids:
+            # a re-queue (preemption or retry backoff), not fresh offered load:
+            # it joins the pending queue but must not inflate the controller's
+            # arrival-rate estimate
+            self._requeued_ids.discard(query.query_id)
+            return False, True
+        if self.controller is not None:
+            self.controller.observe_arrival(query, now)
+        return False, True
+
+    def _on_scale_up(
+        self, event, now, metrics, ledger, scale_log, warmup_ids, events
+    ) -> Tuple[bool, bool]:
+        """A ``SCALE_UP``: reserve and bill the instances; each boots after the delay."""
+        request: ScaleRequest = event.payload
+        model_name = self._request_model(request)
+        itype = self._catalog()[request.type_name]
+        for _ in range(request.count):
+            # billing starts at the request; the instance is schedulable only
+            # after the startup delay
+            server_id = self._reserve_server_id(model_name)
+            self._start_billing(ledger, server_id, itype, now, request)
+            self._booting.setdefault((model_name, request.type_name), []).append(
+                server_id
+            )
+            events.push(
+                Event(
+                    now + self.startup_delay_ms,
+                    EventKind.INSTANCE_READY,
+                    (server_id, request.type_name, model_name),
+                )
+            )
+        scale_log.append(
+            ScaleLogEntry(
+                now,
+                "scale_up",
+                request.type_name,
+                request.count,
+                self._reason(request.reason, model_name),
+            )
+        )
+        return False, False
+
+    def _on_scale_down(
+        self, event, now, metrics, ledger, scale_log, warmup_ids, events
+    ) -> Tuple[bool, bool]:
+        """A ``SCALE_DOWN``: cancel booting instances first, then drain live ones."""
+        request = event.payload
+        model_name = self._request_model(request)
+        self._catalog()[request.type_name]  # raises on unknown type
+        reason = self._reason(request.reason, model_name)
+        remaining = request.count
+        # cancel still-booting instances first (newest first): they have not
+        # served anything, so reversing them is free apart from the boot billing
+        booting = self._booting.get((model_name, request.type_name), [])
+        while remaining > 0 and booting:
+            server_id = booting.pop()
+            self._cancelled.add(server_id)
+            ledger.stop(server_id, now)
+            scale_log.append(
+                ScaleLogEntry(now, "cancel_startup", request.type_name, 1, reason)
+            )
+            remaining -= 1
+        victims = (
+            self._drain_servers(model_name, request.type_name, remaining, now)
+            if remaining > 0
+            else []
+        )
+        changed = False
+        for server in victims:
+            if server.drained:  # already idle: decommission on the spot
                 self.cluster.remove_server(server.server_id)
                 ledger.stop(server.server_id, now)
                 scale_log.append(
                     ScaleLogEntry(now, "decommission", server.type_name, 1)
                 )
-                return True, False
-            return health_changed, False
+            changed = True
+        scale_log.append(
+            ScaleLogEntry(now, "scale_down", request.type_name, len(victims), reason)
+        )
+        return changed, False
 
-        if event.kind == EventKind.QUERY_ARRIVAL:
-            query: Query = event.payload
-            if query.query_id in self._requeued_ids:
-                # a re-queue (preemption or retry backoff), not fresh offered load:
-                # it joins the pending queue but must not inflate the controller's
-                # arrival-rate estimate
-                self._requeued_ids.discard(query.query_id)
-                return False, True
-            if self.controller is not None:
-                self.controller.observe_arrival(query, now)
-            return False, True
-
-        if event.kind == EventKind.INSTANCE_FAILED:
-            return (
-                self._handle_instance_failure(event.payload, now, events, ledger, scale_log),
-                False,
+    def _on_instance_ready(
+        self, event, now, metrics, ledger, scale_log, warmup_ids, events
+    ) -> Tuple[bool, bool]:
+        """An ``INSTANCE_READY``: a booted instance joins (unless cancelled)."""
+        server_id, type_name, model_name = event.payload
+        if server_id in self._cancelled:
+            self._cancelled.discard(server_id)
+            return False, False
+        booting = self._booting.get((model_name, type_name), [])
+        if server_id in booting:
+            booting.remove(server_id)
+        self._add_server(model_name, type_name, now, server_id)
+        scale_log.append(
+            ScaleLogEntry(
+                now, "instance_ready", type_name, 1, self._reason("", model_name)
             )
-
-        if event.kind == EventKind.SLOWDOWN_BEGIN:
-            self._handle_slowdown_begin(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.SLOWDOWN_END:
-            self._handle_slowdown_end(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.RESPONSE_TIMEOUT:
-            self._handle_response_timeout(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.DEGRADATION_ONSET:
-            self._handle_degradation_onset(event.payload, now, scale_log)
-            return False, False
-
-        if event.kind == EventKind.FLAKY_BEGIN:
-            self._handle_flaky_begin(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.FLAKY_END:
-            self._handle_flaky_end(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.ZOMBIE_ONSET:
-            self._handle_zombie_onset(event.payload, now, scale_log)
-            return False, False
-
-        if event.kind == EventKind.HEALTH_CHECK:
-            return (
-                self._handle_health_check(event.payload, now, events, ledger, scale_log),
-                False,
-            )
-
-        if event.kind == EventKind.HEALTH_PROBE:
-            return (
-                self._handle_health_probe(event.payload, now, events, scale_log),
-                False,
-            )
-
-        if event.kind == EventKind.HEDGE_TIMER:
-            self._handle_hedge_timer(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.SCALE_UP:
-            request: ScaleRequest = event.payload
-            model_name = self._request_model(request)
-            itype = self._catalog()[request.type_name]
-            for _ in range(request.count):
-                # billing starts at the request; the instance is schedulable only
-                # after the startup delay
-                server_id = self._reserve_server_id(model_name)
-                self._start_billing(ledger, server_id, itype, now, request)
-                self._booting.setdefault((model_name, request.type_name), []).append(
-                    server_id
-                )
-                events.push(
-                    Event(
-                        now + self.startup_delay_ms,
-                        EventKind.INSTANCE_READY,
-                        (server_id, request.type_name, model_name),
-                    )
-                )
-            scale_log.append(
-                ScaleLogEntry(
-                    now,
-                    "scale_up",
-                    request.type_name,
-                    request.count,
-                    self._reason(request.reason, model_name),
-                )
-            )
-            return False, False
-
-        if event.kind == EventKind.SCALE_DOWN:
-            request = event.payload
-            model_name = self._request_model(request)
-            self._catalog()[request.type_name]  # raises on unknown type
-            reason = self._reason(request.reason, model_name)
-            remaining = request.count
-            # cancel still-booting instances first (newest first): they have not
-            # served anything, so reversing them is free apart from the boot billing
-            booting = self._booting.get((model_name, request.type_name), [])
-            while remaining > 0 and booting:
-                server_id = booting.pop()
-                self._cancelled.add(server_id)
-                ledger.stop(server_id, now)
-                scale_log.append(
-                    ScaleLogEntry(now, "cancel_startup", request.type_name, 1, reason)
-                )
-                remaining -= 1
-            victims = (
-                self._drain_servers(model_name, request.type_name, remaining, now)
-                if remaining > 0
-                else []
-            )
-            changed = False
-            for server in victims:
-                if server.drained:  # already idle: decommission on the spot
-                    self.cluster.remove_server(server.server_id)
-                    ledger.stop(server.server_id, now)
-                    scale_log.append(
-                        ScaleLogEntry(now, "decommission", server.type_name, 1)
-                    )
-                changed = True
-            scale_log.append(
-                ScaleLogEntry(now, "scale_down", request.type_name, len(victims), reason)
-            )
-            return changed, False
-
-        if event.kind == EventKind.INSTANCE_READY:
-            server_id, type_name, model_name = event.payload
-            if server_id in self._cancelled:
-                self._cancelled.discard(server_id)
-                return False, False
-            booting = self._booting.get((model_name, type_name), [])
-            if server_id in booting:
-                booting.remove(server_id)
-            self._add_server(model_name, type_name, now, server_id)
-            scale_log.append(
-                ScaleLogEntry(
-                    now, "instance_ready", type_name, 1, self._reason("", model_name)
-                )
-            )
-            self._arm_fault_timers(server_id, type_name, now, events)
-            # a replacement ready after the trace is fully served arms no reclaim
-            # timer: it would drag the billing horizon past the work
-            if server_id in self._spot_purchases and self._outstanding > 0:
-                self._arm_reclaim_timer(server_id, type_name, now, events)
-            return True, False
-
-        if event.kind == EventKind.PREEMPTION_WARNING:
-            return self._handle_warning(event.payload, now, events, scale_log), False
-
-        if event.kind == EventKind.PREEMPTED:
-            return self._handle_kill(event.payload, now, events, ledger, scale_log), False
-
-        return False, False  # CONTROL and future kinds: no-op
+        )
+        self._arm_fault_timers(server_id, type_name, now, events)
+        # a replacement ready after the trace is fully served arms no reclaim
+        # timer: it would drag the billing horizon past the work
+        if server_id in self._spot_purchases and self._outstanding > 0:
+            self._arm_reclaim_timer(server_id, type_name, now, events)
+        return True, False
 
     def _emit_scale_events(
         self, decision: ReplanDecision, now: float, events: EventQueue

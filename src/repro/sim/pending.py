@@ -95,7 +95,9 @@ class PendingQueue:
         self._snapshot = None
         self._arrays = None
         self._version += 1
-        if len(self._entries) > 32 and self._live * 2 < len(self._entries):
+        if not self._live:
+            self._entries = []  # emptied: nothing left to compact
+        elif len(self._entries) > 32 and self._live * 2 < len(self._entries):
             self._compact()
         return query
 

@@ -69,12 +69,33 @@ class ServerInstance:
     queries_served: int = 0
     busy_time_ms: float = 0.0
     local_queue_depth: int = 0
-    #: Monotone change counter: bumped by every mutation that can affect a scheduling
-    #: round's view of the server (dispatch, completion, draining, reset).  The
-    #: incremental cost-matrix path re-reads only servers whose version moved since
-    #: the previous round.
-    state_version: int = 0
+    _version: int = field(default=0, repr=False)
+    #: ``(dirty set, index)`` per watching column state
+    #: (:class:`~repro.core.cost_matrix.RoundColumnState`): every change adds the
+    #: server's index in that state to its dirty set.
+    _sinks: tuple = field(default=(), repr=False, compare=False)
     _service_log: List[float] = field(default_factory=list, repr=False)
+
+    # -- change notification -----------------------------------------------------------
+    @property
+    def state_version(self) -> int:
+        """Monotone change counter, bumped by every mutation that can affect a
+        scheduling round's view of the server (dispatch, completion, draining,
+        degradation, quarantine, reset).  Each bump — including an assignment from
+        outside — is pushed to the watching column states, so a round re-reads only
+        the servers that changed."""
+        return self._version
+
+    @state_version.setter
+    def state_version(self, value: int) -> None:
+        self._version = value
+        for sink, k in self._sinks:
+            sink.add(k)
+
+    def _changed(self) -> None:
+        self._version += 1
+        for sink, k in self._sinks:
+            sink.add(k)
 
     # -- state queries -----------------------------------------------------------------
     def is_idle(self, now_ms: float) -> bool:
@@ -89,7 +110,7 @@ class ServerInstance:
     def start_draining(self) -> None:
         """Stop accepting new work; in-flight and locally queued queries still finish."""
         self.draining = True
-        self.state_version += 1
+        self._changed()
 
     @property
     def drained(self) -> bool:
@@ -149,7 +170,7 @@ class ServerInstance:
         self.queries_served += 1
         self.busy_time_ms += service
         self.local_queue_depth += 1
-        self.state_version += 1
+        self._changed()
         self._service_log.append(service)
         return start, completion, service
 
@@ -168,7 +189,7 @@ class ServerInstance:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
         self.slowdown_factor = factor
         self.slowdown_until_ms = until_ms
-        self.state_version += 1
+        self._changed()
 
     def end_slowdown(self) -> None:
         """Leave degraded mode (no-op if never slowed)."""
@@ -176,7 +197,7 @@ class ServerInstance:
             return
         self.slowdown_factor = 1.0
         self.slowdown_until_ms = 0.0
-        self.state_version += 1
+        self._changed()
 
     def begin_degradation(self, factor: float) -> None:
         """Enter *permanent* gray degradation: all future service scales by ``factor``.
@@ -187,26 +208,26 @@ class ServerInstance:
         if factor < 1.0:
             raise ValueError(f"degradation factor must be >= 1, got {factor}")
         self.degraded_factor *= factor
-        self.state_version += 1
+        self._changed()
 
     def begin_quarantine(self) -> None:
         """Park the server behind an open circuit breaker (stops new dispatches)."""
         self.quarantined = True
-        self.state_version += 1
+        self._changed()
 
     def end_quarantine(self) -> None:
         """Re-admit the server (breaker half-open/closed); no-op when not quarantined."""
         if not self.quarantined:
             return
         self.quarantined = False
-        self.state_version += 1
+        self._changed()
 
     def complete_one(self) -> None:
         """Acknowledge that one dispatched query finished (pops the local queue)."""
         if self.local_queue_depth <= 0:
             raise RuntimeError("completion acknowledged on a server with an empty local queue")
         self.local_queue_depth -= 1
-        self.state_version += 1
+        self._changed()
 
     def utilization(self, horizon_ms: float) -> float:
         """Fraction of ``[0, horizon_ms]`` the server spent serving queries."""
@@ -226,7 +247,7 @@ class ServerInstance:
         self.queries_served = 0
         self.busy_time_ms = 0.0
         self.local_queue_depth = 0
-        self.state_version += 1
+        self._changed()
         self._service_log.clear()
 
     @property

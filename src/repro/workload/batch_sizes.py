@@ -17,13 +17,31 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive, check_positive_int
 
 #: Default cap on batch sizes (paper Sec. 5.1 limits queries to 1000 requests).
 DEFAULT_MAX_BATCH = 1000
+
+
+# The two CDFs below equal ``scipy.stats.lognorm.cdf`` / ``scipy.stats.norm.cdf`` bit
+# for bit (pinned by the batch-size property tests); ``scipy.special`` keeps the slow
+# ``scipy.stats`` import off every simulation's start-up path.
+def _lognormal_cdf(x, sigma: float, median: float):
+    """``lognorm.cdf(x, s=sigma, scale=median)``: ``ndtr(log(x / median) / sigma)``
+    for ``x > 0``, else 0."""
+    x = np.asarray(x, dtype=float)
+    positive = x > 0
+    with np.errstate(divide="ignore"):  # x / median can underflow to 0: log is -inf
+        z = np.log(np.where(positive, x, median) / median) / sigma
+    return np.where(positive, ndtr(z), 0.0)
+
+
+def _normal_cdf(x, mean: float, std: float):
+    """``norm.cdf(x, loc=mean, scale=std)``."""
+    return ndtr((np.asarray(x, dtype=float) - mean) / std)
 
 
 class BatchSizeDistribution:
@@ -97,7 +115,7 @@ class TruncatedLogNormalBatchSizes(BatchSizeDistribution):
         # Clipping concentrates the tail mass at max_batch, so within the interior the
         # truncated CDF equals the un-truncated CDF (values below min_batch are clipped
         # *up* to min_batch, hence included for s >= min_batch).
-        return float(stats.lognorm.cdf(s + 0.5, s=self.sigma, scale=self.median))
+        return float(_lognormal_cdf(s + 0.5, self.sigma, self.median))
 
     def mean_batch(self) -> float:
         grid = np.arange(self.min_batch, self.max_batch + 1)
@@ -105,12 +123,12 @@ class TruncatedLogNormalBatchSizes(BatchSizeDistribution):
         return float(np.dot(grid, pmf))
 
     def _pmf(self, grid: np.ndarray) -> np.ndarray:
-        cdf_hi = stats.lognorm.cdf(grid + 0.5, s=self.sigma, scale=self.median)
-        cdf_lo = stats.lognorm.cdf(grid - 0.5, s=self.sigma, scale=self.median)
+        cdf_hi = _lognormal_cdf(grid + 0.5, self.sigma, self.median)
+        cdf_lo = _lognormal_cdf(grid - 0.5, self.sigma, self.median)
         pmf = cdf_hi - cdf_lo
         # mass clipped into the boundary bins
-        pmf[0] += stats.lognorm.cdf(grid[0] - 0.5, s=self.sigma, scale=self.median)
-        pmf[-1] += 1.0 - stats.lognorm.cdf(grid[-1] + 0.5, s=self.sigma, scale=self.median)
+        pmf[0] += _lognormal_cdf(grid[0] - 0.5, self.sigma, self.median)
+        pmf[-1] += 1.0 - _lognormal_cdf(grid[-1] + 0.5, self.sigma, self.median)
         return pmf / pmf.sum()
 
 
@@ -143,15 +161,15 @@ class GaussianBatchSizes(BatchSizeDistribution):
             return 0.0
         if s >= self.max_batch:
             return 1.0
-        return float(stats.norm.cdf(s + 0.5, loc=self.mean, scale=self.std))
+        return float(_normal_cdf(s + 0.5, self.mean, self.std))
 
     def mean_batch(self) -> float:
         grid = np.arange(self.min_batch, self.max_batch + 1)
-        cdf_hi = stats.norm.cdf(grid + 0.5, loc=self.mean, scale=self.std)
-        cdf_lo = stats.norm.cdf(grid - 0.5, loc=self.mean, scale=self.std)
+        cdf_hi = _normal_cdf(grid + 0.5, self.mean, self.std)
+        cdf_lo = _normal_cdf(grid - 0.5, self.mean, self.std)
         pmf = cdf_hi - cdf_lo
-        pmf[0] += stats.norm.cdf(grid[0] - 0.5, loc=self.mean, scale=self.std)
-        pmf[-1] += 1.0 - stats.norm.cdf(grid[-1] + 0.5, loc=self.mean, scale=self.std)
+        pmf[0] += _normal_cdf(grid[0] - 0.5, self.mean, self.std)
+        pmf[-1] += 1.0 - _normal_cdf(grid[-1] + 0.5, self.mean, self.std)
         pmf = pmf / pmf.sum()
         return float(np.dot(grid, pmf))
 

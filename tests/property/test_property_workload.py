@@ -155,3 +155,82 @@ def test_jsonl_round_trip_is_exact(trace, tmp_path_factory):
     loaded = load_trace_jsonl(path)
     assert list(loaded.queries) == list(trace.queries)
     assert loaded.duration_ms == trace.duration_ms
+
+
+# The CDFs are computed with scipy.special.ndtr so that simulations never import
+# scipy.stats; they must equal scipy.stats' own CDFs bit for bit.
+_cdf_points = st.lists(
+    st.one_of(
+        st.floats(min_value=-5.0, max_value=2000.0),
+        st.integers(-2, 1001).map(lambda b: b + 0.5),
+        st.integers(-2, 1001).map(lambda b: b - 0.5),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    median=st.floats(min_value=0.5, max_value=1000.0),
+    sigma=st.floats(min_value=0.01, max_value=3.0),
+    points=_cdf_points,
+)
+def test_lognormal_cdf_is_scipy_stats_bit_for_bit(median, sigma, points):
+    from scipy import stats
+
+    from repro.workload.batch_sizes import _lognormal_cdf
+
+    x = np.asarray(points)
+    assert _bits(_lognormal_cdf(x, sigma, median)) == _bits(
+        stats.lognorm.cdf(x, s=sigma, scale=median)
+    )
+    # the scalar path the upper bound reads
+    dist = TruncatedLogNormalBatchSizes(median=median, sigma=sigma)
+    for s in points[:5]:
+        if dist.min_batch <= s < dist.max_batch:
+            assert _bits(dist.fraction_at_or_below(s)) == _bits(
+                float(stats.lognorm.cdf(s + 0.5, s=sigma, scale=median))
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mean=st.floats(min_value=-100.0, max_value=1500.0),
+    std=st.floats(min_value=0.01, max_value=500.0),
+    points=_cdf_points,
+)
+def test_normal_cdf_is_scipy_stats_bit_for_bit(mean, std, points):
+    from scipy import stats
+
+    from repro.workload.batch_sizes import _normal_cdf
+
+    x = np.asarray(points)
+    want = stats.norm.cdf(x, loc=mean, scale=std)
+    assert _bits(_normal_cdf(x, mean, std)) == _bits(want)
+
+
+def test_simulation_imports_leave_scipy_stats_out():
+    """``scipy.stats`` costs about half a second to import; nothing a simulation
+    imports may pull it in."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import repro; "
+        "import repro.fuzz.runner, repro.workload.batch_sizes; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

@@ -814,6 +814,21 @@ class TestSpotDisabledByteIdentity:
                 market=SpotMarket.uniform(catalog, discount=0.6),
             )
 
+    def test_spot_scale_up_rejected_before_the_run(self, profiles, catalog):
+        """With no market to buy from, a scripted spot scale-up is refused at
+        construction instead of being billed on demand."""
+        from repro.cloud.spot import MARKET_SPOT
+
+        cluster = MultiModelCluster(
+            {"RM2": HeterogeneousConfig((1, 0, 1, 0), catalog)}, profiles
+        )
+        request = ScaleRequest("r5n.large", 1, market=MARKET_SPOT)
+        events = [Event(100.0, EventKind.SCALE_UP, request)]
+        with pytest.raises(ValueError, match="without a SpotMarket"):
+            MultiModelServingSimulation(
+                cluster, MultiModelKairosPolicy(), scripted_events=events
+            )
+
 
 class TestShardedDispatch:
     """MultiModelKairosPolicy(sharded=True): per-model partitioned rounds."""

@@ -610,8 +610,5 @@ class TestSpotScaleRequests:
                 ScaleRequest("r5n.large", 1, market=MARKET_SPOT),
             )
         ]
-        sim = ElasticServingSimulation(
-            cluster, KairosPolicy(), scripted_events=events, rng=np.random.default_rng(1)
-        )
         with pytest.raises(ValueError, match="without a SpotMarket"):
-            sim.run(_queries(num=40, rate=40.0))
+            ElasticServingSimulation(cluster, KairosPolicy(), scripted_events=events)

@@ -177,3 +177,15 @@ def test_ab_requires_a_workload():
         timeout=120,
     )
     assert result.returncode == 2 and "--ab needs --workload" in result.stderr
+
+
+def test_opcode_count_is_deterministic():
+    """``--opcodes`` counts exactly: two invocations print the same table."""
+    args = ("--opcodes", "--sim-s", "0.05")
+    first = _run(*args)
+    assert first == _run(*args)
+    rows = first.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["steady", "burst", "churn"]
+    for row in rows:
+        workload, queries, opcodes, per_query = row.split()
+        assert int(queries) > 0 and int(opcodes) > 0

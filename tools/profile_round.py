@@ -12,15 +12,25 @@ next perf lever without ad-hoc profiling::
     python tools/profile_round.py --preset full
     python tools/profile_round.py --scenario multi_model --repeats 5
     python tools/profile_round.py --scenario pipeline  # the benchmark's burst workload
+    python tools/profile_round.py --opcodes            # opcodes per query
 
 Phases overlap where the code nests (latency prediction runs inside the matrix build
 and the two scorers; all three run inside "policy schedule"), so shares do not
 sum to 100% — each row answers "how much of the run is spent under this seam".
+
+``--opcodes`` counts instead of timing: the Python opcodes ``run_scenario``
+executes over the first episode of each perfbench workload (``sys.settrace`` with
+``f_trace_opcodes``), divided by the episode's offered queries.  Each workload is
+counted in a fresh interpreter with ``PYTHONHASHSEED=0``, after one untraced run of
+the same episode (imports and memoized configuration spaces) and with the cyclic
+garbage collector paused, so the count is exact and host-independent.  Work done in C (numpy, scipy, builtins) is not
+counted, so the count is a measure of interpreter work, not of speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from pathlib import Path
@@ -255,6 +265,70 @@ def _run_pipeline(preset: str, repeats: int) -> tuple:
     return time.perf_counter() - start, rounds
 
 
+#: The perfbench workloads ``--opcodes`` counts, at perfbench's default seed.
+OPCODE_WORKLOADS = ("steady", "burst", "churn")
+OPCODE_SEED = 1
+
+
+def count_opcodes(workload: str, sim_s=None) -> tuple:
+    """``(offered queries, opcodes executed)`` by one traced ``run_scenario`` call
+    over the workload's first episode."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    import episodes
+    import workloads
+    from repro.fuzz.runner import build_queries, run_scenario
+
+    spec = workloads.build(workload, episodes.episode_seed(OPCODE_SEED, 0), sim_s)
+    queries = build_queries(spec)
+    run_scenario(spec, queries, check=False)  # untraced: imports, memoized spaces
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    # the collector's timing follows allocation history, not the program: keep its
+    # finalizers out of the count
+    gc.collect()
+    gc.disable()
+    sys.settrace(on_call)
+    try:
+        run_scenario(spec, queries, check=False)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return len(queries), count
+
+
+def _opcode_report(sim_s) -> int:
+    """Count each workload in a fresh interpreter and print the table."""
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    scale = "" if sim_s is None else f", {sim_s} simulated s"
+    print(f"opcodes per query, first episode at seed {OPCODE_SEED}{scale}:")
+    print(f"{'workload':<10} {'queries':>8} {'opcodes':>12} {'per query':>10}")
+    for workload in OPCODE_WORKLOADS:
+        args = [sys.executable, str(Path(__file__).resolve())]
+        args += ["--opcode-child", workload]
+        if sim_s is not None:
+            args += ["--sim-s", repr(sim_s)]
+        out = subprocess.run(
+            args, capture_output=True, text=True, env=env, check=True
+        ).stdout.split()
+        queries, opcodes = int(out[-2]), int(out[-1])
+        print(f"{workload:<10} {queries:>8} {opcodes:>12} {opcodes / queries:>10.1f}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -270,7 +344,28 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=3, help="simulation runs to aggregate (default 3)"
     )
+    parser.add_argument(
+        "--opcodes",
+        action="store_true",
+        help="count Python opcodes per query over each perfbench workload's first "
+        "episode instead of timing phases",
+    )
+    parser.add_argument(
+        "--sim-s",
+        type=float,
+        default=None,
+        help="with --opcodes: simulated seconds per episode (default the workload's)",
+    )
+    parser.add_argument(
+        "--opcode-child", choices=OPCODE_WORKLOADS, help=argparse.SUPPRESS
+    )
     args = parser.parse_args(argv)
+
+    if args.opcode_child:
+        print(*count_opcodes(args.opcode_child, args.sim_s))
+        return 0
+    if args.opcodes:
+        return _opcode_report(args.sim_s)
 
     timers = _instrument()
     runner = {
