@@ -255,17 +255,17 @@ class ElasticSimulationReport:
         return data
 
 
-def _ignore_event(event, now, metrics, ledger, scale_log, warmup_ids, events):
+def _ignore_event(sim, event, now, metrics, ledger, scale_log, warmup_ids, events):
     return False, False
 
 
 def _quiet(handler, logged: bool = False):
-    """Adapt ``handler(payload, now, events)`` (``scale_log`` in place of ``events``
-    when ``logged``) — a kind that changes no membership and admits nothing — to
-    the handler table's signature."""
+    """Adapt ``handler(sim, payload, now, events)`` (``scale_log`` in place of
+    ``events`` when ``logged``) — a kind that changes no membership and admits
+    nothing — to the handler table's signature."""
 
-    def handle(event, now, metrics, ledger, scale_log, warmup_ids, events):
-        handler(event.payload, now, scale_log if logged else events)
+    def handle(sim, event, now, metrics, ledger, scale_log, warmup_ids, events):
+        handler(sim, event.payload, now, scale_log if logged else events)
         return False, False
 
     return handle
@@ -1596,53 +1596,56 @@ class ElasticServingSimulation:
         indexed read instead of a chain of ``EventKind`` comparisons.
         """
         return self._handlers[event.kind](
-            event, now, metrics, ledger, scale_log, warmup_ids, events
+            self, event, now, metrics, ledger, scale_log, warmup_ids, events
         )
 
     def _handler_table(self) -> List:
-        """Each event kind's handler, indexed by the kind's value; every handler
-        takes :meth:`_handle`'s arguments and returns its pair.  Built once per run."""
+        """Each event kind's handler, indexed by the kind's value.  Built once per
+        run from the class's functions: every handler takes the simulation and
+        :meth:`_handle`'s arguments and returns its pair.  The table holds no
+        reference to the simulation, so the run's objects are freed with it."""
+        cls = type(self)
         table = [_ignore_event] * len(EventKind)  # CONTROL and future kinds: no-op
-        table[EventKind.SERVICE_COMPLETION] = self._on_completion
-        table[EventKind.QUERY_ARRIVAL] = self._on_arrival
-        table[EventKind.SCALE_UP] = self._on_scale_up
-        table[EventKind.SCALE_DOWN] = self._on_scale_down
-        table[EventKind.INSTANCE_READY] = self._on_instance_ready
+        table[EventKind.SERVICE_COMPLETION] = cls._on_completion
+        table[EventKind.QUERY_ARRIVAL] = cls._on_arrival
+        table[EventKind.SCALE_UP] = cls._on_scale_up
+        table[EventKind.SCALE_DOWN] = cls._on_scale_down
+        table[EventKind.INSTANCE_READY] = cls._on_instance_ready
         # the fault, gray-failure and spot handlers, each on the arguments it reads
         warn = EventKind.PREEMPTION_WARNING
-        table[warn] = lambda e, now, m, ledger, log, w, events: (
-            self._handle_warning(e.payload, now, events, log),
+        table[warn] = lambda sim, e, now, m, ledger, log, w, q: (
+            sim._handle_warning(e.payload, now, q, log),
             False,
         )
-        table[EventKind.PREEMPTED] = lambda e, now, m, ledger, log, w, events: (
-            self._handle_kill(e.payload, now, events, ledger, log),
+        table[EventKind.PREEMPTED] = lambda sim, e, now, m, ledger, log, w, q: (
+            sim._handle_kill(e.payload, now, q, ledger, log),
             False,
         )
-        table[EventKind.INSTANCE_FAILED] = lambda e, now, m, ledger, log, w, events: (
-            self._handle_instance_failure(e.payload, now, events, ledger, log),
+        table[EventKind.INSTANCE_FAILED] = lambda sim, e, now, m, ledger, log, w, q: (
+            sim._handle_instance_failure(e.payload, now, q, ledger, log),
             False,
         )
-        table[EventKind.HEALTH_CHECK] = lambda e, now, m, ledger, log, w, events: (
-            self._handle_health_check(e.payload, now, events, ledger, log),
+        table[EventKind.HEALTH_CHECK] = lambda sim, e, now, m, ledger, log, w, q: (
+            sim._handle_health_check(e.payload, now, q, ledger, log),
             False,
         )
-        table[EventKind.HEALTH_PROBE] = lambda e, now, m, ledger, log, w, events: (
-            self._handle_health_probe(e.payload, now, events, log),
+        table[EventKind.HEALTH_PROBE] = lambda sim, e, now, m, ledger, log, w, q: (
+            sim._handle_health_probe(e.payload, now, q, log),
             False,
         )
         for kind, handler in (
-            (EventKind.SLOWDOWN_BEGIN, self._handle_slowdown_begin),
-            (EventKind.SLOWDOWN_END, self._handle_slowdown_end),
-            (EventKind.RESPONSE_TIMEOUT, self._handle_response_timeout),
-            (EventKind.FLAKY_BEGIN, self._handle_flaky_begin),
-            (EventKind.FLAKY_END, self._handle_flaky_end),
-            (EventKind.HEDGE_TIMER, self._handle_hedge_timer),
+            (EventKind.SLOWDOWN_BEGIN, cls._handle_slowdown_begin),
+            (EventKind.SLOWDOWN_END, cls._handle_slowdown_end),
+            (EventKind.RESPONSE_TIMEOUT, cls._handle_response_timeout),
+            (EventKind.FLAKY_BEGIN, cls._handle_flaky_begin),
+            (EventKind.FLAKY_END, cls._handle_flaky_end),
+            (EventKind.HEDGE_TIMER, cls._handle_hedge_timer),
         ):
             table[kind] = _quiet(handler)
         table[EventKind.DEGRADATION_ONSET] = _quiet(
-            self._handle_degradation_onset, logged=True
+            cls._handle_degradation_onset, logged=True
         )
-        table[EventKind.ZOMBIE_ONSET] = _quiet(self._handle_zombie_onset, logged=True)
+        table[EventKind.ZOMBIE_ONSET] = _quiet(cls._handle_zombie_onset, logged=True)
         return table
 
     def _on_completion(

@@ -833,3 +833,28 @@ class TestEqualInstantArrivalOrder:
         assert (30.0, [3, 1]) in policy.rounds
         assert report.retries == 1
         assert report.completed_all
+
+
+def test_a_finished_run_is_freed_without_the_cycle_collector(
+    profiles, rm2, catalog, small_stream
+):
+    """Nothing a run builds (the handler table, the policy's column state) refers
+    back to the simulation, so reference counting frees it and what it holds."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim = ElasticServingSimulation(
+            Cluster(HeterogeneousConfig((2, 1, 2, 0), catalog), rm2, profiles),
+            KairosPolicy(),
+            retry=RetryPolicy(max_attempts=2, response_timeout_ms=4.0 * rm2.qos_ms),
+            rng=np.random.default_rng(3),
+        )
+        sim.run(small_stream)
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+    finally:
+        gc.enable()
