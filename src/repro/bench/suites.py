@@ -567,9 +567,9 @@ def bench_fleet_sim(preset: str) -> BenchResult:
     Every profiled model is co-located on one fleet and served through the sharded
     path: :class:`MultiModelKairosPolicy` with ``sharded=True`` (per-model matchings
     instead of one joint union matrix) on top of ``sharded_events=True`` (per-shard
-    event heaps merged under the global anchor rule).  Arrivals come in large bursts,
-    so every scheduling round carries a wide multi-model cost matrix — the shape where
-    the union matrix is most expensive and sharding pays.  The headline value is the
+    labels over the one event heap, at about the plain queue's cost).  Arrivals come
+    in large bursts, so every scheduling round carries a wide multi-model cost matrix
+    — the shape where the union matrix is most expensive and sharding pays.  The headline value is the
     sharded throughput; one unsharded pass of the same workload is timed into
     ``extras`` so the recorded speedup stays honest.
     """

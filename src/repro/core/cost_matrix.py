@@ -658,7 +658,6 @@ class MultiModelCostMatrix(CostMatrix):
 
     cross_model: np.ndarray = None  # type: ignore[assignment]
     query_models: Tuple[str, ...] = ()
-    server_models: Tuple[str, ...] = ()
 
 
 def resolve_query_models(
@@ -684,6 +683,15 @@ def resolve_query_models(
     return tuple(row_model(q) for q in queries)
 
 
+def model_codes(
+    models: Sequence[str], qos_ms_by_model: Mapping[str, float]
+) -> np.ndarray:
+    """Each model's position in ``qos_ms_by_model`` order (-1 when not registered):
+    the integer codes :func:`assemble_multi_model`'s cross-model mask compares."""
+    code_of = {name: code for code, name in enumerate(qos_ms_by_model)}
+    return np.asarray([code_of.get(name, -1) for name in models], dtype=np.intp)
+
+
 def assemble_multi_model(
     queries: Sequence[Query],
     query_models: Tuple[str, ...],
@@ -697,17 +705,19 @@ def assemble_multi_model(
     offsets: np.ndarray,
     groups: Sequence[Tuple[Tuple[str, str], ColumnIndex]],
     server_ids: Tuple[int, ...],
-    server_models: Tuple[str, ...],
+    server_codes: np.ndarray,
 ) -> MultiModelCostMatrix:
     """Assemble one joint round from prepared row/column data (see single-model core).
 
     ``groups`` lists (model, type) column blocks in first-occurrence order;
     estimator calls are issued per block *only when the model has pending rows*,
-    matching the from-scratch builder's call sequence exactly.
+    matching the from-scratch builder's call sequence exactly.  ``server_codes``
+    gives each column's model as its :func:`model_codes` code.
     """
     m = len(queries)
     n = len(server_ids)
-    qos_rows = np.asarray([qos_ms_by_model[name] for name in query_models], dtype=float)
+    query_codes = model_codes(query_models, qos_ms_by_model)
+    qos_rows = np.fromiter(qos_ms_by_model.values(), float)[query_codes]
 
     rows_by_model: Dict[str, List[int]] = {}
     for i, name in enumerate(query_models):
@@ -748,10 +758,7 @@ def assemble_multi_model(
                 offsets[cols][None, :] + predicted[:, None]
             )
 
-    same_model = (
-        np.asarray(query_models, dtype=object)[:, None]
-        == np.asarray(server_models, dtype=object)[None, :]
-    )
+    same_model = query_codes[:, None] == server_codes[None, :]
     feasible = ((usage + waits[:, None]) <= qos_headroom * qos_rows[:, None] + 1e-9)
     feasible &= same_model
     penalized = np.where(feasible, usage, (penalty_factor * qos_rows)[:, None])
@@ -766,7 +773,6 @@ def assemble_multi_model(
         server_ids=server_ids,
         cross_model=~same_model,
         query_models=query_models,
-        server_models=server_models,
     )
 
 
@@ -816,7 +822,6 @@ def build_multi_model_cost_matrix(
             server_ids=tuple(s.server_id for s in servers),
             cross_model=np.zeros(empty.shape, dtype=bool),
             query_models=query_models,
-            server_models=server_models,
         )
 
     batches, waits = _row_arrays(queries, now_ms)
@@ -834,7 +839,7 @@ def build_multi_model_cost_matrix(
         _server_offsets(servers, now_ms),
         groups,
         tuple(s.server_id for s in servers),
-        server_models,
+        model_codes(server_models, qos_ms_by_model),
     )
 
 

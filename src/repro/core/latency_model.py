@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.cloud.models import MLModel
-from repro.cloud.profiles import ProfileRegistry
+from repro.cloud.profiles import LatencyProfile, ProfileRegistry
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -69,13 +69,23 @@ class PerfectLatencyEstimator(LatencyEstimator):
     def __init__(self, profiles: ProfileRegistry, model: Union[str, MLModel]):
         self._profiles = profiles
         self._model = model if isinstance(model, str) else model.name
+        #: each type's profile, resolved on its first prediction
+        self._profile_of: Dict[str, LatencyProfile] = {}
+
+    def _profile(self, instance_type: str) -> LatencyProfile:
+        profile = self._profile_of.get(instance_type)
+        if profile is None:
+            profile = self._profile_of[instance_type] = self._profiles.profile(
+                self._model, instance_type
+            )
+        return profile
 
     def predict_ms(self, instance_type: str, batch_size: int) -> float:
-        return float(self._profiles.latency_ms(self._model, instance_type, batch_size))
+        return float(self._profile(instance_type).latency_ms(batch_size))
 
     def predict_many_ms(self, instance_type: str, batch_sizes) -> np.ndarray:
         return np.asarray(
-            self._profiles.latency_ms(self._model, instance_type, np.atleast_1d(batch_sizes)),
+            self._profile(instance_type).latency_ms(np.atleast_1d(batch_sizes)),
             dtype=float,
         )
 

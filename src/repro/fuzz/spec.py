@@ -475,7 +475,9 @@ class ScenarioSpec:
         end-to-end deadline.
     sharded_events:
         Drive the run off the sharded event/pending queues of
-        :mod:`repro.sim.sharding` (byte-identical to the single-heap path).
+        :mod:`repro.sim.sharding`: the same single heap and admission order,
+        with per-shard labels on top, so the run is byte-identical to the plain
+        path at about the same cost.
     start_offset_ms:
         Shift the whole scenario — arrivals, scripted events, bursts, storms — to
         a non-zero time origin, as committed real-trace slices have.

@@ -6,7 +6,7 @@ protocol consumed by the serving kernel (:mod:`repro.sim.elasticity`):
 * :class:`~repro.schedulers.fcfs.RibbonFCFSPolicy` — Ribbon's FCFS distribution that
   prefers base instances;
 * :class:`~repro.schedulers.threshold.DRSThresholdPolicy` — DeepRecSys's static
-  batch-size threshold (plus the hill-climbing threshold sweep);
+  batch-size threshold;
 * :class:`~repro.schedulers.clockwork.ClockworkPolicy` — Clockwork-inspired
   latency-predictive controller with per-instance FCFS queues;
 * :class:`~repro.schedulers.oracle.OracleScheduler` — the clairvoyant reference scheme;
@@ -19,13 +19,12 @@ from repro.schedulers.clockwork import ClockworkPolicy
 from repro.schedulers.fcfs import RibbonFCFSPolicy
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.schedulers.oracle import OracleScheduler, oracle_throughput
-from repro.schedulers.threshold import DRSThresholdPolicy, hill_climb_threshold
+from repro.schedulers.threshold import DRSThresholdPolicy
 
 __all__ = [
     "SchedulingPolicy",
     "RibbonFCFSPolicy",
     "DRSThresholdPolicy",
-    "hill_climb_threshold",
     "ClockworkPolicy",
     "OracleScheduler",
     "oracle_throughput",

@@ -638,6 +638,8 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         self._columns: Optional[RoundColumnState] = None
         self._columns_source = None
         self._server_models_full: Tuple[str, ...] = ()
+        #: per server of the bound view, its model's position in qos_by_model() order
+        self._server_codes_full = np.empty(0, dtype=np.intp)
         self._round_types_of: Dict[str, Tuple[str, ...]] = {}
         self._single = _SingleQueryScorer(
             qos_headroom, penalty_factor, self._defer_violations
@@ -685,6 +687,9 @@ class MultiModelKairosPolicy(SchedulingPolicy):
         )
         self._columns_source = cluster
         self._server_models_full = server_models
+        self._server_codes_full = cost_matrix_lib.model_codes(
+            server_models, self._qos_by_model
+        )
         # The hopeless check probes each model's types in full-view server order —
         # static per bind, so computed here rather than per round.
         self._round_types_of = {
@@ -778,8 +783,9 @@ class MultiModelKairosPolicy(SchedulingPolicy):
             )
             if decisions is not None:
                 return decisions
-        full_models = self._server_models_full
-        server_models = tuple(full_models[i] for i in eligible_indices)
+        server_codes = self._server_codes_full
+        if len(eligible_indices) < len(server_codes):
+            server_codes = server_codes[eligible_indices]
         matrix = cost_matrix_lib.assemble_multi_model(
             considered,
             query_models,
@@ -793,7 +799,7 @@ class MultiModelKairosPolicy(SchedulingPolicy):
             columns.offsets,
             columns.groups,
             columns.server_ids,
-            server_models,
+            server_codes,
         )
         weighted = matrix.weighted
         if row_scale is not None:

@@ -2,15 +2,15 @@
 
 DeepRecSys (ISCA'20) splits queries between CPUs and GPUs with a single static batch-size
 threshold: queries larger than the threshold go to the base (accelerated) instances,
-smaller ones to the auxiliary instances.  The threshold itself is found with a
-hill-climbing sweep, and — as the paper points out — the sweep has to be repeated for
-every heterogeneous configuration, which is the scheme's tuning overhead.
+smaller ones to the auxiliary instances.  DeepRecSys finds the threshold with a
+hill-climbing sweep that, as the paper points out, has to be repeated for every
+heterogeneous configuration (the scheme's tuning overhead); the policy here takes the
+sweep's fixed point directly (see :class:`DRSThresholdPolicy`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.schedulers.base import Decision, SchedulingPolicy
 from repro.sim.cluster import Cluster
@@ -89,69 +89,3 @@ class DRSThresholdPolicy(SchedulingPolicy):
                 break
         return decisions
 
-
-@dataclass(frozen=True)
-class ThresholdSweepResult:
-    """Outcome of the hill-climbing threshold sweep."""
-
-    best_threshold: int
-    best_throughput: float
-    evaluations: Tuple[Tuple[int, float], ...]
-
-    @property
-    def num_evaluations(self) -> int:
-        return len(self.evaluations)
-
-
-def hill_climb_threshold(
-    evaluate: Callable[[int], float],
-    *,
-    low: int = 1,
-    high: int = 1000,
-    initial: Optional[int] = None,
-    initial_step: Optional[int] = None,
-    min_step: int = 8,
-    max_evaluations: int = 40,
-) -> ThresholdSweepResult:
-    """DeepRecSys's hill-climbing sweep over the batch-size threshold.
-
-    ``evaluate(threshold)`` measures the allowable throughput of the configuration under
-    a :class:`DRSThresholdPolicy` with that threshold (one online evaluation each).  The
-    sweep starts from the middle of the range, moves in the direction of improvement,
-    and halves the step width whenever neither neighbour improves, until the step falls
-    below ``min_step`` or the evaluation budget is exhausted.
-    """
-    if low < 1 or high < low:
-        raise ValueError("invalid threshold range")
-    current = initial if initial is not None else (low + high) // 2
-    step = initial_step if initial_step is not None else max((high - low) // 4, min_step)
-
-    cache: dict[int, float] = {}
-    order: List[Tuple[int, float]] = []
-
-    def measured(threshold: int) -> float:
-        threshold = int(min(max(threshold, low), high))
-        if threshold not in cache:
-            if len(order) >= max_evaluations:
-                return -float("inf")
-            value = float(evaluate(threshold))
-            cache[threshold] = value
-            order.append((threshold, value))
-        return cache[threshold]
-
-    best = current
-    best_value = measured(current)
-    while step >= min_step and len(order) < max_evaluations:
-        up_value = measured(best + step)
-        down_value = measured(best - step)
-        if up_value > best_value and up_value >= down_value:
-            best, best_value = min(best + step, high), up_value
-        elif down_value > best_value:
-            best, best_value = max(best - step, low), down_value
-        else:
-            step //= 2
-    return ThresholdSweepResult(
-        best_threshold=int(best),
-        best_throughput=float(best_value),
-        evaluations=tuple(order),
-    )

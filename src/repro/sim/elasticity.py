@@ -384,8 +384,8 @@ class ElasticServingSimulation:
         self._fault_rng = ensure_rng(fault_rng)
         self.retry = retry
         self.admission = admission
-        #: drive the run off a ShardedEventQueue (per-kind shards); byte-identical
-        #: to the single-heap path (see repro.sim.sharding)
+        #: drive the run off a ShardedEventQueue (per-kind shard labels over the
+        #: same single heap); byte-identical to the plain path (repro.sim.sharding)
         self.sharded_events = bool(sharded_events)
         # -- spot market (set before the scripted events are validated) ---------------
         self.market = market

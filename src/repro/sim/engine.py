@@ -145,11 +145,10 @@ class EventQueue:
         events past ``anchor + epsilon`` stay queued and anchor the *next* batch.
         Sub-epsilon chains are therefore partitioned greedily from the earliest event
         forward, which makes the split a deterministic function of the queue contents
-        alone.  Any sharded or merged queue
-        (:class:`~repro.sim.sharding.ShardedEventQueue`) must reuse this exact rule
-        with one **global** anchor across all shards: letting each shard anchor its
-        own batch would split the same chain differently per shard and diverge from
-        the unsharded event loop.
+        alone.  :class:`~repro.sim.sharding.ShardedEventQueue` pops the same
+        batches from the same heap under this one anchor: letting each shard anchor
+        its own batch would split the same chain differently per shard and diverge
+        from the unsharded event loop.
         """
         heap = self._heap
         if not heap:

@@ -1,46 +1,44 @@
-"""Sharded event/pending queues with a deterministic, anchor-preserving merge rule.
+"""Sharded event/pending queues: shards label events, one heap orders them.
 
-One Python process drives one global :class:`~repro.sim.engine.EventQueue` and one
-:class:`~repro.sim.pending.PendingQueue` — the explicit fleet-scale ceiling named in
-the ROADMAP.  This module shards both **without changing a single observable
-ordering decision**:
+One Python process drives one :class:`~repro.sim.engine.EventQueue` and one
+:class:`~repro.sim.pending.PendingQueue`.  The queues here add a per-shard view on
+top of them (per model for the multi-model loop, per event-kind class for the
+single-model loops) **without changing a single observable ordering decision**:
 
-* :class:`ShardedEventQueue` partitions events across per-shard binary heaps (per
-  model for the multi-model loop, per event-kind class for the single-model loops)
-  while handing out **globally unique** insertion sequence numbers.  Every event's
-  sort key ``event.sort_key(sequence)`` — ``(time, kind priority, sequence)`` — is
-  therefore globally comparable and globally unique, so merging the shard heads by
-  smallest key reproduces the exact pop order of one global heap, *whatever the
-  partition*.  Correctness never depends on the shard-key function; shard keys only
-  decide which heap absorbs the O(log n) push/pop cost.
-* Batch coalescing reuses the **anchor rule** of
-  :meth:`~repro.sim.engine.EventQueue.pop_batch` with one **global** anchor across
-  all shards: the limit is ``anchor + TIME_EPSILON_MS`` where the anchor is the
-  single timestamp the batch is taken at (the given ``time_ms``, else the earliest
-  event across every shard).  Letting each shard anchor its own batch would split
-  the same sub-epsilon chain differently per shard and diverge from the unsharded
-  loop — the divergence the anchor rule exists to forbid.
-* :class:`ShardClock` gives each shard a monotone clock advanced at round
-  boundaries, plus a global round clock that is always their maximum; fault draws
-  stay in commission order because pushes (and therefore sequence numbers) happen
-  in exactly the order the unsharded loop performs them.
-* :class:`ShardedPendingQueue` keeps one :class:`~repro.sim.pending.PendingQueue`
-  per model and merges snapshots by a global admission sequence — the merged view
-  is byte-identical to the append order of the single queue it replaces.
+* :class:`ShardedEventQueue` is an :class:`~repro.sim.engine.EventQueue`: every
+  event sits on the one ``(sort_key, event)`` heap under its globally unique sort
+  key ``(time, kind priority, sequence)``, and :meth:`~ShardedEventQueue.pop_batch`
+  takes the base queue's batches under its one anchor rule.  Shards only label
+  events; the partition can never change the pop order or a batch split.
+* :class:`ShardClock` gives each shard a monotone time, the time of the last event
+  of that shard a popped batch carried, plus a global round clock that is their
+  maximum.
+* :class:`ShardedPendingQueue` is a :class:`~repro.sim.pending.PendingQueue` in
+  admission order; :meth:`~ShardedPendingQueue.shard` builds one model's queue on
+  request.
 
-Byte-identity per seed against the unsharded path, over the full committed
+What each per-shard observable costs:
+
+* ``push`` costs exactly what :meth:`EventQueue.push` costs.
+* Each event :meth:`~ShardedEventQueue.pop_batch` pops adds one shard-key call
+  and two dict writes: the queue's record of drained shards and the clock's
+  shard time (``pop`` and ``discard`` write the record only).
+* :attr:`~ShardedEventQueue.num_shards` and :meth:`~ShardedEventQueue.shard_sizes`
+  label every queued event when read: O(queued events).
+* :meth:`ShardedPendingQueue.shard` filters the snapshot when read:
+  O(pending queries); an admission adds one dict write.
+
+The driving loops read none of these, so sharding cannot leak into scheduling
+decisions.  Byte-identity per seed against the unsharded path, over the committed
 regression corpus, is pinned in ``tests/regression/test_regression_scenarios.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
-from repro.sim.engine import TIME_EPSILON_MS, SimulationClock
+from repro.sim.engine import TIME_EPSILON_MS, EventQueue
 from repro.sim.events import Event, EventKind
 from repro.sim.pending import PendingQueue
 from repro.workload.query import Query
@@ -53,8 +51,7 @@ def shard_key_by_model(event: Event) -> object:
 
     Model-tagged payloads (queries, scale requests, completion records) shard by
     model name; everything else (fault timers, control events) shards by event
-    kind.  The partition is a performance choice only — the sequence-number merge
-    makes any partition order-identical to the global heap.
+    kind.
     """
     model = getattr(event.payload, "model_name", None)
     if model is not None:
@@ -76,283 +73,159 @@ def shard_key_by_kind(event: Event) -> object:
 
 
 class ShardClock:
-    """Per-shard monotone clocks advanced at round boundaries, plus a global clock.
+    """Per-shard monotone times advanced at round boundaries, plus a global clock.
 
-    The global clock is always ``max`` over the shard clocks (and never behind a
-    direct :meth:`advance_round`); each shard clock advances lazily, only when its
-    shard contributes events to a round.  Shard clocks exist for observability —
-    the driving loops consume only the global round clock, so sharding cannot leak
-    into scheduling decisions.
+    The global clock is always ``max`` over the shard times (and never behind a
+    direct :meth:`advance_round`); a shard's time advances only when the shard
+    contributes events to a round.  Both are observability only.
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        self._start_ms = float(start_ms)
-        self._global = SimulationClock(start_ms)
-        self._shards: Dict[object, SimulationClock] = {}
+        if start_ms < 0:
+            raise ValueError("start time must be non-negative")
+        self._start_ms = self._now = float(start_ms)
+        self._times: Dict[object, float] = {}
 
     @property
     def now_ms(self) -> float:
-        return self._global.now_ms
+        return self._now
 
     def shard_now_ms(self, shard: object) -> float:
-        """The shard's local clock (the start time if it never saw a round)."""
-        clock = self._shards.get(shard)
-        return clock.now_ms if clock is not None else self._start_ms
+        """The shard's local time (the start time if it never saw a round)."""
+        return self._times.get(shard, self._start_ms)
 
     def advance_round(self, time_ms: float) -> float:
         """Advance the global round clock (monotone, like the unsharded clock)."""
-        return self._global.advance_to(time_ms)
+        if time_ms < self._now - TIME_EPSILON_MS:
+            raise ValueError(
+                f"cannot move the clock backwards: now={self._now}, requested={time_ms}"
+            )
+        if time_ms > self._now:
+            self._now = float(time_ms)
+        return self._now
 
     def advance_shard(self, shard: object, time_ms: float) -> float:
-        """Advance one shard's clock to the round boundary it participated in."""
-        clock = self._shards.get(shard)
-        if clock is None:
-            clock = self._shards[shard] = SimulationClock(self._start_ms)
-        local = clock.advance_to(time_ms)
-        # the global clock is the max over shards: a shard lagging behind another
-        # shard's round boundary must not read as backward global motion
-        if local > self._global.now_ms:
-            self._global.advance_to(local)
+        """Advance one shard's time to the round boundary it participated in."""
+        local = self.shard_now_ms(shard)
+        if time_ms < local - TIME_EPSILON_MS:
+            raise ValueError(
+                f"cannot move shard {shard!r} backwards: now={local}, requested={time_ms}"
+            )
+        local = self._times[shard] = max(local, float(time_ms))
+        if local > self._now:
+            self._now = local
         return local
 
 
-class ShardedEventQueue:
-    """A drop-in :class:`~repro.sim.engine.EventQueue` over per-shard heaps.
+class ShardedEventQueue(EventQueue):
+    """An :class:`~repro.sim.engine.EventQueue` that labels its events with shards.
 
-    The public API and every ordering guarantee are identical to the single-heap
-    queue; see the module docstring for why the merge is exact.  ``clock`` (a
-    :class:`ShardClock`, created on demand) tracks which shards participated in
-    each popped batch.
+    Ordering is the base queue's own (see the module docstring).  ``clock`` (a
+    :class:`ShardClock`) tracks which shards took part in each batch
+    :meth:`pop_batch` returns.
     """
 
     def __init__(self, shard_key: Optional[ShardKey] = None) -> None:
+        super().__init__()
         self._shard_key: ShardKey = shard_key or shard_key_by_kind
-        self._shards: Dict[object, List[Tuple[tuple, Event]]] = {}
-        #: events pushed so far; global, so sort keys are unique across shards
-        self.pushed = 0
+        #: shards that had an event popped since the last clear()
+        self._drained: Dict[object, None] = {}
         self.clock = ShardClock()
 
-    def __len__(self) -> int:
-        return sum(len(heap) for heap in self._shards.values())
-
-    def __bool__(self) -> bool:
-        return any(self._shards.values())
-
-    @property
-    def num_shards(self) -> int:
-        """Live shards (shards emptied by pops still count until :meth:`clear`)."""
-        return len(self._shards)
-
-    def shard_sizes(self) -> Dict[object, int]:
-        return {key: len(heap) for key, heap in self._shards.items()}
-
-    def push(self, event: Event) -> None:
-        """Insert an event into its shard; sequence numbers are global."""
-        heap = self._shards.setdefault(self._shard_key(event), [])
-        heapq.heappush(heap, (event.sort_key(self.pushed), event))
-        self.pushed += 1
-
-    def push_all(self, events) -> None:
-        for event in events:
-            self.push(event)
-
-    def _min_shard(self) -> Optional[object]:
-        """The shard whose head has the globally smallest sort key."""
-        best_key: Optional[object] = None
-        best_sort = None
-        for key, heap in self._shards.items():
-            if heap and (best_sort is None or heap[0][0] < best_sort):
-                best_key, best_sort = key, heap[0][0]
-        return best_key
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event across all shards."""
-        shard = self._min_shard()
-        if shard is None:
-            raise IndexError("pop from an empty event queue")
-        return heapq.heappop(self._shards[shard])[1]
-
-    def peek(self) -> Event:
-        shard = self._min_shard()
-        if shard is None:
-            raise IndexError("peek on an empty event queue")
-        return self._shards[shard][0][1]
-
-    def peek_time(self) -> Optional[float]:
-        shard = self._min_shard()
-        return self._shards[shard][0][1].time_ms if shard is not None else None
-
-    def pop_until(self, time_ms: float) -> Iterator[Event]:
-        """Yield and remove every event with ``time <= time_ms`` (within epsilon)."""
-        limit = time_ms + TIME_EPSILON_MS
-        while True:
-            shard = self._min_shard()
-            if shard is None or self._shards[shard][0][1].time_ms > limit:
-                return
-            self.clock.advance_shard(shard, self._shards[shard][0][1].time_ms)
-            yield heapq.heappop(self._shards[shard])[1]
+    # ``push`` and ``pop_batch`` are defined here, not inherited: tracers patch each
+    # queue class's own methods, and an inherited one would be wrapped twice.
+    push = EventQueue.push
 
     def pop_batch(self, time_ms: Optional[float] = None) -> List[Event]:
-        """The whole equal-timestamp batch, merged across shards, in heap order.
-
-        Reuses the exact anchor rule of
-        :meth:`~repro.sim.engine.EventQueue.pop_batch` with one **global** anchor:
-        ``limit = anchor + TIME_EPSILON_MS`` where the anchor is ``time_ms`` when
-        given, else the earliest event across *every* shard.  Events are then
-        drained smallest-sort-key-first across shards, which is exactly the order
-        a single global heap would produce.
-        """
-        anchor_shard = self._min_shard()
-        if time_ms is None:
-            if anchor_shard is None:
-                return []
-            anchor = self._shards[anchor_shard][0][1].time_ms
-        else:
-            anchor = time_ms
-        limit = anchor + TIME_EPSILON_MS
+        """:meth:`EventQueue.pop_batch`'s batch, anchor rule included; each shard
+        the batch carries advances to the time of its last event in it."""
+        heap = self._heap
+        if not heap:
+            return []
+        limit = (heap[0][1].time_ms if time_ms is None else time_ms) + TIME_EPSILON_MS
         batch: List[Event] = []
-        while True:
-            shard = self._min_shard()
-            if shard is None:
-                break
-            heap = self._shards[shard]
-            if heap[0][1].time_ms > limit:
-                break
-            self.clock.advance_shard(shard, heap[0][1].time_ms)
-            batch.append(heapq.heappop(heap)[1])
+        clock = self.clock
+        pop, key, drained, times, start = (
+            heapq.heappop, self._shard_key, self._drained, clock._times, clock._start_ms
+        )
+        while heap and heap[0][1].time_ms <= limit:
+            event = pop(heap)[1]
+            batch.append(event)
+            shard = key(event)
+            drained[shard] = None
+            # a pop within epsilon before the shard's time leaves it unchanged
+            if event.time_ms > times.get(shard, start):
+                times[shard] = event.time_ms
         if batch:
-            self.clock.advance_round(batch[-1].time_ms)
+            clock.advance_round(batch[-1].time_ms)
         return batch
 
-    def kind_counts(self) -> Counter:
-        """Queued events per kind name over every shard (for diagnostics)."""
-        return Counter(e[1].kind.name for heap in self._shards.values() for e in heap)
-
-    def only_kinds(self, kinds) -> bool:
-        """True when non-empty and every queued event's kind is in ``kinds``."""
-        return bool(self) and all(
-            entry[1].kind in kinds
-            for heap in self._shards.values()
-            for entry in heap
-        )
+    def pop(self) -> Event:
+        event = EventQueue.pop(self)
+        self._drained[self._shard_key(event)] = None
+        return event
 
     def discard(self, predicate) -> int:
-        """Remove every queued event matching ``predicate``; returns how many.
+        drained, key = self._drained, self._shard_key
 
-        Per-shard filter + heapify, as in the unsharded queue: survivors keep
-        their original sort keys, so relative order is untouched.
-        """
-        removed = 0
-        for key, heap in self._shards.items():
-            kept = [entry for entry in heap if not predicate(entry[1])]
-            if len(kept) != len(heap):
-                removed += len(heap) - len(kept)
-                heapq.heapify(kept)
-                self._shards[key] = kept
-        return removed
+        def removed(event: Event) -> bool:
+            if predicate(event):
+                drained[key(event)] = None
+                return True
+            return False
 
-    def clear(self) -> None:
-        self._shards.clear()
-
-
-class ShardedPendingQueue:
-    """Per-model pending queues whose merged view equals global append order.
-
-    Each model (``None`` for untagged queries) gets its own
-    :class:`~repro.sim.pending.PendingQueue`; every admitted query also records a
-    global admission sequence number.  The merged snapshot interleaves the
-    per-shard snapshots by that sequence — each shard's snapshot is already in
-    increasing sequence order, so an ``heapq.merge`` reproduces exactly the append
-    order of the single queue this replaces.  Scheduling policies written against
-    :class:`PendingQueue` (snapshot, positional indexing, ``snapshot_arrays``)
-    work unchanged.
-    """
-
-    __slots__ = (
-        "_shards",
-        "_shard_of",
-        "_seq_of",
-        "_sequence",
-        "_version",
-        "_snapshot",
-        "_arrays",
-    )
-
-    def __init__(self) -> None:
-        self._shards: Dict[Optional[str], PendingQueue] = {}
-        self._shard_of: Dict[int, Optional[str]] = {}
-        self._seq_of: Dict[int, int] = {}
-        self._sequence = 0
-        self._version = 0
-        self._snapshot: Optional[List[Query]] = None
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def __len__(self) -> int:
-        return len(self._shard_of)
-
-    def __bool__(self) -> bool:
-        return bool(self._shard_of)
-
-    def __contains__(self, query_id: int) -> bool:
-        return query_id in self._shard_of
-
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self.snapshot())
-
-    def __getitem__(self, index):
-        return self.snapshot()[index]
-
-    @property
-    def version(self) -> int:
-        return self._version
+        return EventQueue.discard(self, removed)
 
     @property
     def num_shards(self) -> int:
-        return len(self._shards)
+        """Shards seen since :meth:`clear`, emptied ones included."""
+        return len(self.shard_sizes())
+
+    def shard_sizes(self) -> Dict[object, int]:
+        """Queued events per shard seen since :meth:`clear` (emptied shards read 0)."""
+        sizes = dict.fromkeys(self._drained, 0)
+        key = self._shard_key
+        for _, event in self._heap:
+            shard = key(event)
+            sizes[shard] = sizes.get(shard, 0) + 1
+        return sizes
+
+    def clear(self) -> None:
+        super().clear()
+        self._drained.clear()
+
+
+class ShardedPendingQueue(PendingQueue):
+    """A :class:`~repro.sim.pending.PendingQueue` with per-model views on request.
+
+    Every model (``None`` for untagged queries) that ever had a query admitted is a
+    shard; :meth:`shard` returns its pending queries, in admission order, as a fresh
+    :class:`~repro.sim.pending.PendingQueue`.
+    """
+
+    __slots__ = ("_models",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._models: Dict[Optional[str], None] = {}
+
+    @property
+    def num_shards(self) -> int:
+        return len(self._models)
 
     def shard(self, model_name: Optional[str]) -> Optional[PendingQueue]:
-        """One model's pending queue (``None`` when that model has no backlog)."""
-        return self._shards.get(model_name)
+        """One model's pending queue (``None`` when that model was never admitted)."""
+        if model_name not in self._models:
+            return None
+        view = PendingQueue()
+        for query in self.snapshot():
+            if query.model_name == model_name:
+                view.append(query)
+        return view
 
     def append(self, query: Query) -> None:
-        if query.query_id in self._shard_of:
-            raise ValueError(f"query {query.query_id} is already pending")
-        shard = self._shards.setdefault(query.model_name, PendingQueue())
-        shard.append(query)
-        self._shard_of[query.query_id] = query.model_name
-        self._seq_of[query.query_id] = self._sequence
-        self._sequence += 1
-        self._version += 1
-        self._snapshot = None
-        self._arrays = None
+        PendingQueue.append(self, query)
+        self._models[query.model_name] = None
 
-    def remove(self, query_id: int) -> Query:
-        model = self._shard_of.pop(query_id, None)
-        if model is None and query_id not in self._seq_of:
-            raise KeyError(query_id)
-        self._seq_of.pop(query_id, None)
-        query = self._shards[model].remove(query_id)
-        self._version += 1
-        self._snapshot = None
-        self._arrays = None
-        return query
-
-    def snapshot(self) -> List[Query]:
-        """All pending queries, merged across shards in global admission order."""
-        if self._snapshot is None:
-            runs = [
-                [(self._seq_of[q.query_id], q) for q in shard.snapshot()]
-                for shard in self._shards.values()
-                if len(shard)
-            ]
-            self._snapshot = [q for _, q in heapq.merge(*runs)]
-        return self._snapshot
-
-    def snapshot_arrays(self) -> Tuple[List[Query], np.ndarray, np.ndarray]:
-        """``(queries, batch_sizes, arrival_times)``, as for :class:`PendingQueue`."""
-        if self._arrays is None:
-            snapshot = self.snapshot()
-            batches = np.asarray([q.batch_size for q in snapshot], dtype=int)
-            arrivals = np.asarray([q.arrival_time_ms for q in snapshot], dtype=float)
-            self._arrays = (batches, arrivals)
-        return self.snapshot(), self._arrays[0], self._arrays[1]
+    # defined here, not inherited, for the reason given on ShardedEventQueue.push
+    snapshot_arrays = PendingQueue.snapshot_arrays

@@ -5,7 +5,7 @@ them without cycles.
 """
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.stats import StreamingStats, percentile, RunningPercentile
+from repro.utils.stats import StreamingStats, percentile
 from repro.utils.tables import format_table, format_series
 from repro.utils.validation import (
     check_finite,
@@ -19,7 +19,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "StreamingStats",
-    "RunningPercentile",
     "percentile",
     "format_table",
     "format_series",

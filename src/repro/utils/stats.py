@@ -2,15 +2,15 @@
 
 The serving simulations produce one latency sample per query; the QoS check needs tail
 percentiles (typically p99) and the throughput accounting needs counts and means.  The
-accumulators here avoid storing more state than needed while staying exact (percentiles
-keep the sample list; ``StreamingStats`` keeps Welford moments only).
+helpers here stay exact: :func:`percentile` reads the whole sample list, and
+``StreamingStats`` keeps Welford moments only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,35 +86,3 @@ class StreamingStats:
             min(self.min, other.min),
             max(self.max, other.max),
         )
-
-
-@dataclass
-class RunningPercentile:
-    """Exact percentile tracker that retains its samples.
-
-    The serving simulations are bounded (thousands of queries), so retaining samples is
-    cheap and keeps the p99 computation exact, which matters because the QoS decision is
-    a hard threshold.
-    """
-
-    samples: List[float] = field(default_factory=list)
-
-    def add(self, value: float) -> None:
-        self.samples.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.samples.extend(float(v) for v in values)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def value(self, q: float) -> float:
-        """Return the ``q``-th percentile of everything added so far."""
-        return percentile(self.samples, q)
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples strictly above ``threshold`` (0 for an empty tracker)."""
-        if not self.samples:
-            return 0.0
-        arr = np.asarray(self.samples)
-        return float(np.mean(arr > threshold))

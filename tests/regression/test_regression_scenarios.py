@@ -99,13 +99,12 @@ class TestCorpusReplay:
 
 
 class TestShardedByteIdentity:
-    """The sharded event loop is a pure partition of the single heap.
+    """The sharded event loop only labels the events of the single heap.
 
     For every committed scenario — chaos included — routing events through
     :class:`~repro.sim.sharding.ShardedEventQueue` must produce a byte-identical
-    result digest.  Merge exactness holds because sharded queues hand out globally
-    unique sequence numbers, so merging shard heads smallest-sort-key-first
-    reproduces the exact single-heap pop order for *any* partition.
+    result digest: the sharded queues order events on the one heap and admit
+    queries in the one arrival order, so no shard label can move a decision.
     """
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)

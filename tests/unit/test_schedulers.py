@@ -9,7 +9,7 @@ from repro.schedulers.clockwork import ClockworkPolicy
 from repro.schedulers.fcfs import RibbonFCFSPolicy
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.schedulers.oracle import OracleScheduler, oracle_throughput
-from repro.schedulers.threshold import DRSThresholdPolicy, hill_climb_threshold
+from repro.schedulers.threshold import DRSThresholdPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.simulation import simulate_serving
 from repro.workload.generator import queries_from_batches
@@ -109,29 +109,6 @@ class TestDRSThreshold:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             DRSThresholdPolicy(threshold=0)
-
-    def test_hill_climb_finds_peak(self):
-        def throughput(threshold):
-            return -((threshold - 430) ** 2)  # peak at 430
-
-        result = hill_climb_threshold(throughput, low=1, high=1000, min_step=4)
-        assert abs(result.best_threshold - 430) <= 40
-        assert result.num_evaluations <= 40
-        assert result.evaluations
-
-    def test_hill_climb_respects_budget(self):
-        calls = []
-
-        def throughput(threshold):
-            calls.append(threshold)
-            return float(threshold)
-
-        hill_climb_threshold(throughput, max_evaluations=5)
-        assert len(calls) <= 5
-
-    def test_hill_climb_invalid_range(self):
-        with pytest.raises(ValueError):
-            hill_climb_threshold(lambda t: 0.0, low=10, high=5)
 
 
 class TestClockwork:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.stats import RunningPercentile, StreamingStats, percentile
+from repro.utils.stats import StreamingStats, percentile
 
 
 class TestPercentile:
@@ -63,20 +63,3 @@ class TestStreamingStats:
         assert merged.mean == pytest.approx(1.5)
         merged2 = StreamingStats().merge(a)
         assert merged2.count == 2
-
-
-class TestRunningPercentile:
-    def test_value(self, rng):
-        data = rng.uniform(size=200)
-        tracker = RunningPercentile()
-        tracker.extend(data)
-        assert len(tracker) == 200
-        assert tracker.value(50) == pytest.approx(np.percentile(data, 50))
-
-    def test_fraction_above(self):
-        tracker = RunningPercentile()
-        tracker.extend([1.0, 2.0, 3.0, 4.0])
-        assert tracker.fraction_above(2.5) == pytest.approx(0.5)
-
-    def test_fraction_above_empty(self):
-        assert RunningPercentile().fraction_above(1.0) == 0.0
