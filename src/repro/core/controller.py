@@ -27,6 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.instances import InstanceCatalog
 from repro.cloud.models import MLModel
@@ -274,6 +276,52 @@ class ArrivalRateEstimator:
         return 1000.0 * len(self._arrivals) / span_ms
 
 
+class BatchWindow:
+    """The query monitor's window: the last ``capacity`` batch sizes, in a numpy ring.
+
+    An arrival writes one slot.  :meth:`samples` lists the window oldest first —
+    the order a ``deque(maxlen=capacity)`` fed the same arrivals would hold, which
+    the planner's rate means depend on bit for bit — as a fresh array the planner
+    may keep while the ring moves on.  ``version`` counts the arrivals, so two
+    reads at one version list the same window; arrival ``v`` sits in slot
+    ``v % capacity``.
+    """
+
+    __slots__ = ("_ring", "_capacity", "_slots", "version")
+
+    def __init__(self, capacity: int):
+        self._capacity = int(capacity)
+        self._slots = max(self._capacity, 1)  # a zero-capacity window writes a dummy
+        self._ring = np.empty(self._slots, dtype=int)
+        self.version = 0
+
+    def __len__(self) -> int:
+        return min(self.version, self._capacity)
+
+    def append(self, batch_size: int) -> None:
+        self._ring[self.version % self._slots] = batch_size
+        self.version += 1
+
+    def extend(self, batch_sizes: Sequence[int]) -> None:
+        """Append every batch size in order (only the last ``capacity`` stay)."""
+        values = np.asarray(batch_sizes, dtype=int).reshape(-1)
+        tail = values[-self._capacity :] if self._capacity else values[:0]
+        start = (self.version + values.size - tail.size) % self._slots
+        split = min(tail.size, self._slots - start)
+        self._ring[start : start + split] = tail[:split]
+        self._ring[: tail.size - split] = tail[split:]
+        self.version += values.size
+
+    def samples(self) -> np.ndarray:
+        """The window, oldest first, as a new array."""
+        ring = self._ring
+        size = len(self)
+        if size < self._capacity or not size:
+            return ring[:size].copy()
+        oldest = self.version % self._capacity
+        return np.concatenate((ring[oldest:], ring[:oldest]))
+
+
 @dataclass(frozen=True)
 class ReplanDecision:
     """One re-planning action of the elastic controller.
@@ -374,11 +422,13 @@ class ElasticKairosController:
         self.num_monitor_samples = int(num_monitor_samples)
         self._rng = ensure_rng(rng)
         self.rate_estimator = ArrivalRateEstimator(window_ms)
-        self._batch_window: Deque[int] = deque(maxlen=int(monitor_window))
+        self._batch_window = BatchWindow(monitor_window)
         self._provisioned_rate_qps = self.base_rate_qps
         self._last_replan_ms = 0.0
         self._current_config: Optional[HeterogeneousConfig] = None
         self._planners: Dict[float, KairosPlanner] = {}
+        #: the monitor window version each budget's planner was last fed
+        self._fed_versions: Dict[float, int] = {}
         self.decisions: List[ReplanDecision] = []
         #: (time_ms, type_name, count) of every preemption this controller absorbed.
         self.preemptions: List[Tuple[float, str, int]] = []
@@ -395,20 +445,23 @@ class ElasticKairosController:
         """Plan against the monitored window with this budget's planner.
 
         Each budget keeps one planner, fed every new window in place, so a re-plan
-        keeps its estimator's cutoffs, latency tables and cutoff grouping.  An empty
-        monitor instead draws a fresh window from the fallback mix through a fresh
-        planner, exactly as many draws from the controller's generator as before.
+        keeps its estimator's cutoffs, latency tables and cutoff grouping (and,
+        when no query arrived since that planner's last plan, its rates too).  An
+        empty monitor instead draws a fresh window from the fallback mix through a
+        fresh planner, exactly as many draws from the controller's generator as
+        before.
         """
-        if not self._batch_window:
+        window = self._batch_window
+        if not window:
             return self._new_planner(budget_per_hour, None).plan()
-        samples = list(self._batch_window)
         planner = self._planners.get(budget_per_hour)
         if planner is None:
             planner = self._planners[budget_per_hour] = self._new_planner(
-                budget_per_hour, samples
+                budget_per_hour, window.samples()
             )
-        else:
-            planner.update_batch_samples(samples)
+        elif self._fed_versions[budget_per_hour] != window.version:
+            planner.update_batch_samples(window.samples())
+        self._fed_versions[budget_per_hour] = window.version
         return planner.plan()
 
     def _new_planner(
@@ -448,8 +501,7 @@ class ElasticKairosController:
         experiments prime both the static baseline's planner and the elastic controller
         with the same samples so the two arms start from the same configuration.
         """
-        for b in batch_sizes:
-            self._batch_window.append(int(b))
+        self._batch_window.extend(batch_sizes)
 
     def observe_arrival(self, query: Query, now_ms: float) -> None:
         """Feed one arriving query into the rate estimator and the query monitor."""
@@ -716,8 +768,8 @@ class MultiModelElasticController:
         self.rate_estimators: Dict[str, ArrivalRateEstimator] = {
             name: ArrivalRateEstimator(window_ms) for name in names
         }
-        self._batch_windows: Dict[str, Deque[int]] = {
-            name: deque(maxlen=int(monitor_window)) for name in names
+        self._batch_windows: Dict[str, BatchWindow] = {
+            name: BatchWindow(monitor_window) for name in names
         }
         self._provisioned_rates: Dict[str, float] = dict(self.base_rates_qps)
         self._last_replan_ms = 0.0
@@ -734,7 +786,7 @@ class MultiModelElasticController:
     ) -> MultiModelPlan:
         for name, window in self._batch_windows.items():
             if window:
-                self.planner.update_batch_samples(name, list(window))
+                self.planner.update_batch_samples(name, window.samples())
         self.planner.budget_per_hour = float(budget_per_hour)
         return self.planner.plan_joint(targets)
 
@@ -754,9 +806,7 @@ class MultiModelElasticController:
     # -- online observation ------------------------------------------------------------
     def prime_monitor(self, model_name: str, batch_sizes: Sequence[int]) -> None:
         """Pre-fill one model's query monitor (see ElasticKairosController)."""
-        window = self._batch_windows[model_name]
-        for b in batch_sizes:
-            window.append(int(b))
+        self._batch_windows[model_name].extend(batch_sizes)
 
     def observe_arrival(self, query: Query, now_ms: float) -> None:
         name = query.model_name

@@ -404,51 +404,74 @@ class RoundColumnState:
         servers: Sequence[ServerInstance],
         keys: Optional[Sequence[object]] = None,
     ):
-        self.servers = list(servers)
-        n = len(self.servers)
-        self._n = n
-        self._keys = (
-            [s.type_name for s in self.servers] if keys is None else list(keys)
+        self.servers = servers = list(servers)
+        n = self._n = len(servers)
+        keys = self._keys = (
+            [s.type_name for s in servers] if keys is None else list(keys)
         )
-        if len(self._keys) != n:
+        if len(keys) != n:
             raise ValueError("keys must parallel the server list")
         self._busy: List[float] = [0.0] * n
         self._over_depth = 0  # servers with local queue depth > 1 (ineligible)
-        overhead = [s.dispatch_overhead_ms for s in self.servers]
-        self._server_ids = [s.server_id for s in self.servers]
+        overhead = [s.dispatch_overhead_ms for s in servers]
+        self._server_ids = [s.server_id for s in servers]
+        #: One :class:`_Run` per (group, dispatch overhead), first-occurrence order,
+        #: and each group's runs (indexed like ``groups``).  Codes number the keys
+        #: in first-occurrence order.
+        self.runs: List[_Run] = []
+        self.group_runs: List[List[_Run]] = []
+        run_of: List[_Run] = []
         code_of: Dict[object, int] = {}
-        codes = [code_of.setdefault(key, len(code_of)) for key in self._keys]
-        #: Per server of the full layout, the position of its block in ``groups``
-        #: (codes number the keys in first-occurrence order).
-        self.codes = np.asarray(codes, dtype=np.intp)
+        run_at: Dict[Tuple[int, float], _Run] = {}
+        run = run_key = None
+        # every server starts dirty, so a fresh state reads them all on its first
+        # round, and pushes its later changes here
+        dirty = self._dirty = set(range(n))
+        for k, server in enumerate(servers):
+            server._sinks += ((dirty, k),)
+            key = keys[k]
+            oh = overhead[k]
+            # same-type servers are usually adjacent: look a run up only when
+            # the (key, overhead) pair changes
+            if run is None or key != run_key or oh != run.overhead:
+                run_key = key
+                code = code_of.get(key)
+                if code is None:
+                    code = code_of[key] = len(self.group_runs)
+                    self.group_runs.append([])
+                run = run_at.get((code, oh))
+                if run is None:
+                    run = run_at[(code, oh)] = _Run(code, oh)
+                    self.runs.append(run)
+                    self.group_runs[code].append(run)
+            run.bits |= 1 << k
+            run_of.append(run)
+        self._run_of = run_of
+        #: Per server of the full layout, the position of its block in ``groups``.
+        self.codes = np.asarray([run.code for run in run_of], dtype=np.intp)
         self._keys_by_code = list(code_of)
+        # each block's columns are its runs' bits: a slice when they are one range
+        groups: List[Tuple[object, ColumnIndex]] = []
+        for code, (key, runs) in enumerate(zip(code_of, self.group_runs)):
+            bits = 0
+            for block_run in runs:
+                bits |= block_run.bits
+            first = (bits & -bits).bit_length() - 1
+            if bits.bit_length() - first == bits.bit_count():
+                groups.append((key, slice(first, bits.bit_length())))
+            else:
+                groups.append((key, np.flatnonzero(self.codes == code)))
         self._full_columns = _FullLayout(
             list(range(n)),
             tuple(self._server_ids),
-            self._groups_of(self.codes),
+            groups,
             self._busy,
             np.asarray(overhead, dtype=float),
         )
-        self._contiguous = all(
-            isinstance(cols, slice) for _, cols in self._full_columns.groups
-        )
+        self._contiguous = all(isinstance(cols, slice) for _, cols in groups)
         self._order: Optional[List[int]] = None
         #: Persistent mask over the full layout: True where a server is ineligible.
         self.ineligible = np.zeros(n, dtype=bool)
-        #: One :class:`_Run` per (group, dispatch overhead), first-occurrence order,
-        #: and each group's runs (indexed like ``groups``).
-        self.runs: List[_Run] = []
-        self.group_runs: List[List[_Run]] = [[] for _ in code_of]
-        run_at: Dict[Tuple[int, float], _Run] = {}
-        self._run_of: List[_Run] = []
-        for k, (code, oh) in enumerate(zip(codes, overhead)):
-            run = run_at.get((code, oh))
-            if run is None:
-                run = run_at[(code, oh)] = _Run(code, oh)
-                self.runs.append(run)
-                self.group_runs[code].append(run)
-            run.bits |= 1 << k
-            self._run_of.append(run)
         #: Per server: ``None`` when ineligible, else ``_IDLE`` or its entry in its
         #: run's ``busy`` list.  Every server starts idle and eligible (depth 0).
         self._place: List[object] = [_IDLE] * n
@@ -456,16 +479,19 @@ class RoundColumnState:
             run.idle = run.bits
         self._next_expiry = float("-inf")
         self.now_ms = float("-inf")
-        # every server starts dirty: a fresh state reads them all on its first round
-        self._dirty = set(range(n))
-        for k, server in enumerate(self.servers):
-            server._sinks += ((self._dirty, k),)
 
     def __del__(self):
-        # stop the servers pushing to a state nobody reads any more
+        # stop the servers pushing to a state nobody reads any more; states are
+        # replaced oldest first, so this one's entry is usually a server's first
         dirty = getattr(self, "_dirty", None)
-        for server in getattr(self, "servers", ()):
-            server._sinks = tuple(e for e in server._sinks if e[0] is not dirty)
+        if dirty is None:
+            return
+        for server in self.servers:
+            sinks = server._sinks
+            if sinks and sinks[0][0] is dirty:
+                server._sinks = sinks[1:]
+            else:
+                server._sinks = tuple(e for e in sinks if e[0] is not dirty)
 
     @property
     def masked(self) -> bool:
@@ -609,29 +635,13 @@ class RoundColumnState:
         idx = np.flatnonzero(~self.ineligible)
         index_list = idx.tolist()
         ids = self._server_ids
+        keys = self._keys
         return RoundColumns(
             indices=index_list,
             server_ids=tuple(ids[i] for i in index_list),
             offsets=full.offsets[idx],
-            groups=self._groups_of(self.codes[idx]),
+            groups=group_columns([keys[i] for i in index_list]),
         )
-
-    def _groups_of(self, codes: np.ndarray) -> List[Tuple[object, ColumnIndex]]:
-        """Column blocks per group key over ``codes``, first-occurrence order."""
-        keys_by_code = self._keys_by_code
-        if len(keys_by_code) == 1:
-            # single-type pools: one contiguous block
-            return [(keys_by_code[0], slice(0, len(codes)))]
-        uniq, first = np.unique(codes, return_index=True)
-        order = np.argsort(first, kind="stable")
-        groups: List[Tuple[object, ColumnIndex]] = []
-        for code in uniq[order]:
-            cols = np.nonzero(codes == code)[0]
-            if cols[-1] - cols[0] + 1 == len(cols):
-                groups.append((keys_by_code[code], slice(int(cols[0]), int(cols[-1]) + 1)))
-            else:
-                groups.append((keys_by_code[code], cols))
-        return groups
 
     # -- introspection helpers shared with the policies --------------------------------
     def unique_keys(self) -> Tuple[object, ...]:

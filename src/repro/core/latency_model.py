@@ -13,14 +13,17 @@ Three estimators are provided:
   which the paper deliberately advantages with accurate latency knowledge);
 * :class:`OnlineLatencyEstimator` — the Kairos learner: per-type lookup table of
   observed (batch, latency) pairs backed by an online least-squares linear fit for
-  batches not yet seen;
+  batches not yet seen.  Each table is mirrored, as it learns, into a dense
+  NaN-filled array of means indexed by batch size, so a vector prediction applies
+  every exact-table override with one gather and one mask instead of a loop over
+  the vector's distinct batches;
 * :class:`NoisyLatencyEstimator` — wraps another estimator and adds Gaussian white
   noise to predictions (Fig. 16b's robustness experiment).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -95,6 +98,10 @@ class _TypeState:
     """Per-instance-type learning state of the online estimator."""
 
     table: Dict[int, Tuple[float, int]]  # batch -> (mean latency, observation count)
+    #: ``table``'s means as a dense array indexed by batch size, NaN where no batch
+    #: was observed, with NaN past the largest observed batch: a gather clipped to
+    #: its last slot reads every exact-table entry of a batch vector at once
+    means: np.ndarray = field(default_factory=lambda: np.full(2, np.nan))
     sum_b: float = 0.0
     sum_l: float = 0.0
     sum_bb: float = 0.0
@@ -139,11 +146,20 @@ class OnlineLatencyEstimator(LatencyEstimator):
             raise ValueError("batch_size must be >= 1")
         self._prediction_cache.pop(instance_type, None)
         self.belief_version += 1  # invalidates callers' memoized predictions too
-        state = self._state.setdefault(instance_type, _TypeState(table={}))
-        mean, count = state.table.get(int(batch_size), (0.0, 0))
+        state = self._state.get(instance_type)
+        if state is None:
+            state = self._state[instance_type] = _TypeState(table={})
+        batch = int(batch_size)
+        mean, count = state.table.get(batch, (0.0, 0))
         count += 1
         mean += (latency_ms - mean) / count
-        state.table[int(batch_size)] = (mean, count)
+        state.table[batch] = (mean, count)
+        means = state.means
+        if batch >= means.size - 1:
+            grown = np.full(max(2 * means.size, batch + 2), np.nan)
+            grown[: means.size] = means
+            means = state.means = grown
+        means[batch] = mean
         state.sum_b += batch_size
         state.sum_l += latency_ms
         state.sum_bb += batch_size * batch_size
@@ -177,8 +193,10 @@ class OnlineLatencyEstimator(LatencyEstimator):
         Applies the same per-element rules as :meth:`predict_ms` — exact lookup first,
         then the linear fit (or proportional scaling) — as whole-vector numpy
         operations, and memoizes the result per (type, vector) until the next
-        :meth:`observe` on the type.  The returned array is shared with the cache and
-        marked read-only; copy it before mutating.
+        :meth:`observe` on the type.  The exact lookup is one gather from the type's
+        dense means array (clipped, so batches past the array read its trailing NaN)
+        and one copy where the gathered mean is not NaN.  The returned array is
+        shared with the cache and marked read-only; copy it before mutating.
         """
         batches = np.atleast_1d(np.asarray(batch_sizes, dtype=int))
         cache = self._prediction_cache.setdefault(instance_type, {})
@@ -209,10 +227,8 @@ class OnlineLatencyEstimator(LatencyEstimator):
                 only_batch, (only_mean, _) = next(iter(state.table.items()))
                 predictions = np.maximum(1e-6, only_mean * batches / only_batch)
             # exact lookup-table entries override the model, as in predict_ms
-            for batch in set(batches.tolist()):
-                exact = state.table.get(batch)
-                if exact is not None:
-                    predictions[batches == batch] = exact[0]
+            exact = state.means.take(batches, mode="clip")
+            np.copyto(predictions, exact, where=exact == exact)
         predictions.setflags(write=False)
         cache[key] = predictions
         return predictions

@@ -141,7 +141,7 @@ def _bounds_for_group(
     """
     values = np.empty(base_counts.shape, dtype=float)
 
-    # Degenerate: no base instances (q_b > 0 is guaranteed by _mean_rate).
+    # Degenerate: no base instances (q_b > 0 is guaranteed by _rate).
     no_base = (base_counts == 0) | (q_b <= 0)
     values[no_base] = aux_rate[no_base] if f >= 1.0 - 1e-12 else 0.0
     rest = ~no_base
@@ -162,11 +162,16 @@ def _bounds_for_group(
     no_aux_rate = rest & (aux_rate <= 0)
     values[no_aux_rate] = base_counts[no_aux_rate] * q_b
     main = rest & ~no_aux_rate
-    if not np.any(main):
-        return values
+    if np.any(main):
+        values[main] = _mixed_bounds(base_counts[main], aux_rate[main], q_b, q_b_splus, f)
+    return values
 
-    base = base_counts[main]
-    rate = aux_rate[main]
+
+def _mixed_bounds(
+    base: np.ndarray, rate: np.ndarray, q_b: float, q_b_splus: float, f: float
+) -> np.ndarray:
+    """Eq. 15's two-bottleneck case for configurations with base instances and a
+    positive auxiliary rate, ``0 < f < 1``: the scalar's last branch, term by term."""
     offload_rate = (1.0 - f) / f * rate  # Eq. 14's C term
     base_splus_capacity = base * q_b_splus
     base_bottleneck = base_splus_capacity <= offload_rate
@@ -177,8 +182,30 @@ def _bounds_for_group(
             base_splus_capacity / (1.0 - f),  # Eq. 9 / 12
             rate / f + slack_ratio * base * q_b,  # Eq. 11 / 13 / 15
         )
-    values[main] = np.maximum(value, base * q_b)  # same soundness floor as the scalar
-    return values
+    return np.maximum(value, base * q_b)  # same soundness floor as the scalar
+
+
+def _aux_rate(columns: Sequence[np.ndarray], q_a: Sequence[float]) -> np.ndarray:
+    """``sum_i v_i Q_a^i`` per configuration, accumulated in catalog order like the
+    scalar's sum (whose ``0 +`` first step leaves a non-negative term unchanged)."""
+    rate = columns[0] * q_a[0]
+    for k in range(1, len(columns)):
+        rate = rate + columns[k] * q_a[k]
+    return rate
+
+
+def _rate(latency_sum: float, count: int) -> float:
+    """Queries per second at the mean latency ``latency_sum / count`` (0 for none).
+
+    With ``latency_sum`` from ``np.add.reduce`` this is the sum and division
+    ``np.mean`` performs, without its dispatch.
+    """
+    if count == 0:
+        return 0.0
+    mean = latency_sum / count
+    if mean <= 0:
+        raise ValueError("profiles produced non-positive latency")
+    return 1000.0 / mean
 
 
 def ranking_order(bounds: np.ndarray, k: Optional[int] = None) -> np.ndarray:
@@ -211,16 +238,35 @@ def ranked_pairs(
 _LAYOUT_SLOTS = 2
 
 
+class _CutoffGroup(NamedTuple):
+    """The configurations sharing one effective cutoff ``s``: their positions in
+    the space and their counts (one aux column per auxiliary type, catalog order)."""
+
+    s: int
+    index: np.ndarray
+    base_counts: np.ndarray
+    aux_counts: np.ndarray
+
+
 class _CutoffLayout(NamedTuple):
     """A configuration space grouped by effective cutoff ``s`` (samples play no part).
 
-    ``groups`` holds ``(s, mask, base_counts, aux_counts)`` per distinct cutoff, in
-    increasing ``s``; ``no_aux`` marks the base-only configurations.
+    ``groups`` holds one :class:`_CutoffGroup` per distinct cutoff, in increasing
+    ``s``; ``no_aux`` lists the base-only configurations and ``no_aux_base`` their
+    base counts.  The rest splits the grouped configurations by the branches of
+    Eq. 15 that the counts alone decide: ``baseless`` lists those without a base
+    instance, ``mixed`` those with one, ``mixed_group`` the group of each, and
+    ``mixed_base`` / ``mixed_aux`` (contiguous float columns) their counts.
     """
 
-    base_counts: np.ndarray
     no_aux: np.ndarray
-    groups: Tuple[Tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    no_aux_base: np.ndarray
+    groups: Tuple[_CutoffGroup, ...]
+    baseless: np.ndarray
+    mixed: np.ndarray
+    mixed_group: np.ndarray
+    mixed_base: np.ndarray
+    mixed_aux: Tuple[np.ndarray, ...]
 
 
 class ThroughputUpperBoundEstimator:
@@ -254,6 +300,14 @@ class ThroughputUpperBoundEstimator:
         # per-type latency indexed by batch size (index 0 unused), grown to the largest
         # sample seen: a rate is a gather from it instead of a profile evaluation
         self._latency_tables: Dict[str, np.ndarray] = {}
+        # the aux types whose rates are ever read, catalog order (a zero cutoff pins
+        # an aux rate to 0), and their latency tables stacked one row per type
+        self._rated_aux = [
+            t.name
+            for t in self.catalog.types
+            if t.name != self._base_name and self._cutoffs[t.name] != 0
+        ]
+        self._aux_tables = np.empty((len(self._rated_aux), 0))
         self._tabulated_up_to = 0
         # the last _LAYOUT_SLOTS memoized ConfigSpaces ranked, with their cutoff
         # groupings, keyed on identity (the strong reference keeps an id in use)
@@ -283,16 +337,18 @@ class ThroughputUpperBoundEstimator:
     def update_samples(self, batch_samples: Sequence[int]) -> None:
         """Replace the monitored query-size window in place.
 
-        Only the sample-dependent state is recomputed (the per-cutoff rate cache and
-        the base full-mix rate).  The per-type QoS cutoffs, the latency tables and
-        the last space's cutoff grouping depend solely on the profiles, the model
-        and the space, so re-plans keep them instead of re-deriving them the way
-        rebuilding the estimator would.
+        Only the sample-dependent state is recomputed: the latency of every sample
+        on the base and on each rated aux type (gathered once per window: every
+        cutoff's rates are means over one mask of them), the per-cutoff rate cache
+        and the base full-mix rate.  The per-type QoS cutoffs, the latency tables
+        and the last spaces' cutoff groupings depend solely on the profiles, the
+        model and the space, so re-plans keep them instead of re-deriving them the
+        way rebuilding the estimator would.
         """
         samples = np.asarray(batch_samples, dtype=int)
         if samples.size == 0:
             raise ValueError("batch_samples must be non-empty")
-        if np.any(samples < 1):
+        if samples.min() < 1:
             raise ValueError("batch sizes must be >= 1")
         largest = int(samples.max())
         if largest > self._tabulated_up_to:
@@ -302,9 +358,16 @@ class ThroughputUpperBoundEstimator:
                 table[1:] = self.profiles.latency_ms(self.model, t.name, batches)
                 self._latency_tables[t.name] = table
             self._tabulated_up_to = largest
+            self._aux_tables = np.asarray(
+                [self._latency_tables[name] for name in self._rated_aux]
+            ).reshape(len(self._rated_aux), largest + 1)
         self._samples = samples
+        self._base_latency = self._latency_tables[self._base_name][samples]
+        # C-contiguous rows: a row's sum along axis 1 is the pairwise sum a 1-D
+        # array of the same values gets, so the means stay np.mean's bits
+        self._aux_latency = self._aux_tables.take(samples, axis=1)
         self._cache.clear()
-        self._q_b_full = self._mean_rate(self._base_name, samples)
+        self._q_b_full = _rate(float(np.add.reduce(self._base_latency)), samples.size)
 
     def cutoff_of(self, type_name: str) -> int:
         """QoS cutoff batch size ``s_j`` of an instance type."""
@@ -398,15 +461,37 @@ class ThroughputUpperBoundEstimator:
         q_b = self._q_b_full
         aux_names = [name for name in names if name != self._base_name]
         bounds = np.empty(len(configs), dtype=float)
-        bounds[layout.no_aux] = layout.base_counts[layout.no_aux] * q_b
-        for s, group, base_counts, group_counts in layout.groups:
-            f, q_b_splus, q_a_by_type = self._rates_for_cutoff(s)
+        bounds[layout.no_aux] = layout.no_aux_base * q_b
+        rates = [self._rates_for_cutoff(group.s) for group in layout.groups]
+        if rates and q_b > 0 and all(0.0 < f < 1.0 - 1e-12 for f, _, _ in rates):
+            # The common case, every group in one pass over the precomputed split:
+            # a base-less configuration serves nothing, and every other one is
+            # mixed, since its largest-cutoff aux type has s >= 1 and, with f > 0,
+            # a positive rate (so none has aux_rate 0).  Each configuration reads
+            # its group's rates from one gathered row.
+            per_group = np.asarray(
+                [
+                    (f, q_b_splus, *[q_a_by_type[name] for name in aux_names])
+                    for f, q_b_splus, q_a_by_type in rates
+                ]
+            )
+            per_row = per_group.take(layout.mixed_group, axis=0)
+            q_a = [per_row[:, 2 + k] for k in range(len(aux_names))]
+            bounds[layout.baseless] = 0.0
+            bounds[layout.mixed] = _mixed_bounds(
+                layout.mixed_base,
+                _aux_rate(layout.mixed_aux, q_a),
+                q_b,
+                per_row[:, 1],
+                per_row[:, 0],
+            )
+            return bounds
+        for group, (f, q_b_splus, q_a_by_type) in zip(layout.groups, rates):
             q_a = [q_a_by_type[name] for name in aux_names]
-            # accumulate in catalog order, matching the scalar sum term by term
-            aux_rate = np.zeros(group_counts.shape[0], dtype=float)
-            for k in range(len(aux_names)):
-                aux_rate = aux_rate + group_counts[:, k] * q_a[k]
-            bounds[group] = _bounds_for_group(base_counts, q_b, q_b_splus, aux_rate, f)
+            columns = [group.aux_counts[:, k] for k in range(len(aux_names))]
+            bounds[group.index] = _bounds_for_group(
+                group.base_counts, q_b, q_b_splus, _aux_rate(columns, q_a), f
+            )
         return bounds
 
     def _cutoff_layout(self, counts: np.ndarray) -> _CutoffLayout:
@@ -416,18 +501,36 @@ class ThroughputUpperBoundEstimator:
         base_counts = counts[:, base_index].astype(float)
         if not aux_indices:
             # Single-type catalog: every configuration is base-only.
-            return _CutoffLayout(base_counts, np.ones(len(counts), dtype=bool), ())
+            empty = np.zeros(0, dtype=np.intp)
+            return _CutoffLayout(
+                np.arange(len(counts)), base_counts, (), empty, empty, empty, empty, ()
+            )
         aux_counts = counts[:, aux_indices]
         names = list(self.catalog.names)
         cutoffs = np.asarray([self._cutoffs[names[i]] for i in aux_indices], dtype=int)
         # effective cutoff s = max cutoff over the aux types present (-1: no aux)
         s_values = np.where(aux_counts > 0, cutoffs[None, :], -1).max(axis=1)
-        no_aux = s_values < 0
+        no_aux = np.flatnonzero(s_values < 0)
+        grouped = s_values >= 0
+        cutoff_values = np.unique(s_values[grouped]).tolist()
         groups = []
-        for s in np.unique(s_values[~no_aux]).tolist():
-            group = s_values == s
-            groups.append((s, group, base_counts[group], aux_counts[group]))
-        return _CutoffLayout(base_counts, no_aux, tuple(groups))
+        for s in cutoff_values:
+            index = np.flatnonzero(s_values == s)
+            groups.append(_CutoffGroup(s, index, base_counts[index], aux_counts[index]))
+        mixed = np.flatnonzero(grouped & (base_counts != 0))
+        return _CutoffLayout(
+            no_aux=no_aux,
+            no_aux_base=base_counts[no_aux],
+            groups=tuple(groups),
+            baseless=np.flatnonzero(grouped & (base_counts == 0)),
+            mixed=mixed,
+            mixed_group=np.searchsorted(cutoff_values, s_values[mixed]),
+            mixed_base=base_counts[mixed],
+            mixed_aux=tuple(
+                np.ascontiguousarray(aux_counts[mixed, k], dtype=float)
+                for k in range(len(aux_indices))
+            ),
+        )
 
     def rank_configs(
         self, configs: ConfigSpaceLike
@@ -440,28 +543,28 @@ class ThroughputUpperBoundEstimator:
 
     # -- internals ------------------------------------------------------------------------
     def _rates_for_cutoff(self, s: int) -> Tuple[float, float, Dict[str, float]]:
-        if s in self._cache:
-            return self._cache[s]
+        rates = self._cache.get(s)
+        if rates is not None:
+            return rates
         samples = self._samples
-        below = samples[samples <= s]
-        above = samples[samples > s]
-        f = float(below.size) / float(samples.size)
-        q_b_splus = self._mean_rate(self._base_name, above) if above.size else self._q_b_full
-        q_a_by_type: Dict[str, float] = {}
-        for t in self.catalog.types:
-            if t.name == self._base_name:
-                continue
-            if below.size == 0 or self._cutoffs[t.name] == 0:
-                q_a_by_type[t.name] = 0.0
-            else:
-                q_a_by_type[t.name] = self._mean_rate(t.name, below)
-        self._cache[s] = (f, q_b_splus, q_a_by_type)
-        return self._cache[s]
+        below = samples <= s
+        n_below = int(np.count_nonzero(below))
+        n_above = samples.size - n_below
+        f = float(n_below) / float(samples.size)
+        if n_above:
+            above_sum = float(np.add.reduce(self._base_latency.compress(~below)))
+            q_b_splus = _rate(above_sum, n_above)
+        else:
+            q_b_splus = self._q_b_full
+        q_a_by_type = {t.name: 0.0 for t in self.catalog.types if t.name != self._base_name}
+        if n_below:
+            below_sums = np.add.reduce(self._aux_latency.compress(below, axis=1), axis=1)
+            for name, below_sum in zip(self._rated_aux, below_sums.tolist()):
+                q_a_by_type[name] = _rate(below_sum, n_below)
+        rates = self._cache[s] = (f, q_b_splus, q_a_by_type)
+        return rates
 
     def _mean_rate(self, type_name: str, batches: np.ndarray) -> float:
-        if batches.size == 0:
-            return 0.0
-        mean = float(np.mean(self._latency_tables[type_name][batches]))
-        if mean <= 0:
-            raise ValueError("profiles produced non-positive latency")
-        return 1000.0 / mean
+        """The rate of ``type_name`` at the mean latency of ``batches``."""
+        latencies = self._latency_tables[type_name][batches]
+        return _rate(float(np.add.reduce(latencies)), latencies.size)

@@ -399,8 +399,9 @@ class ElasticServingSimulation:
         #: warned twice (one warning, one kill, one log entry per reclaim)
         self._warned: Set[int] = set()
         # -- shared chaos/preemption machinery ------------------------------------------
-        #: per-server records dispatched but not yet completed (the voiding source)
-        self._inflight: Dict[int, List[QueryRecord]] = {}
+        #: per-server records dispatched but not yet completed (the voiding source),
+        #: in dispatch order and keyed by object id: attempts match by identity
+        self._inflight: Dict[int, Dict[int, QueryRecord]] = {}
         #: object ids of voided attempts whose queued completion must be swallowed
         self._voided: Set[int] = set()
         #: query ids re-injected as arrivals (skip controller rate observation)
@@ -1181,7 +1182,7 @@ class ElasticServingSimulation:
         server_id = server.server_id
         self.cluster.remove_server(server_id)
         ledger.stop(server_id, now, failed=failed)
-        voided = self._inflight.pop(server_id, [])
+        voided = list(self._inflight.pop(server_id, {}).values())
         orphans = [r.query for r in voided if self._void_attempt(r)]
         if self.monitor is not None:
             self.monitor.forget(server_id)
@@ -1201,8 +1202,7 @@ class ElasticServingSimulation:
         hedge partner still serves it.
         """
         inflight = self._inflight.get(record.server_id)
-        if inflight is not None and record in inflight:
-            inflight.remove(record)
+        if inflight is not None and inflight.pop(id(record), None) is not None:
             if not inflight:
                 del self._inflight[record.server_id]
         if id(record) in self._zombie_attempts:
@@ -1252,7 +1252,7 @@ class ElasticServingSimulation:
         dispatch is voided and the query retries elsewhere or dead-letters.
         """
         inflight = self._inflight.get(record.server_id)
-        if inflight is None or record not in inflight:
+        if inflight is None or id(record) not in inflight:
             return  # completed, crash-voided, or preempted before the deadline
         if self._void_attempt(record):
             self._fail_attempt(record.query, now, "timeout", events)
@@ -1350,7 +1350,7 @@ class ElasticServingSimulation:
         # queries re-enter the client path (retry/dead-letter) immediately
         stuck = [
             r
-            for r in self._inflight.get(server_id, ())
+            for r in self._inflight.get(server_id, {}).values()
             if id(r) in self._zombie_attempts
         ]
         for record in stuck:
@@ -1439,7 +1439,7 @@ class ElasticServingSimulation:
         if self.monitor is None:
             return False
         inflight = self._inflight.get(record.server_id)
-        if inflight is None or record not in inflight:
+        if inflight is None or id(record) not in inflight:
             return False  # resolved before the check fired
         overdue = now - record.completion_ms
         self.monitor.record_overdue(record.server_id, overdue, expected_ms)
@@ -1454,7 +1454,7 @@ class ElasticServingSimulation:
                     server, now, events, ledger, scale_log, "suspect"
                 )
         still = self._inflight.get(record.server_id)
-        if still is not None and record in still:
+        if still is not None and id(record) in still:
             self._void_stuck_attempt(record, now, events, "overdue")
         return changed
 
@@ -1484,7 +1484,7 @@ class ElasticServingSimulation:
     ) -> None:
         """The attempt outlived its hedge delay: duplicate onto the best idle server."""
         inflight = self._inflight.get(record.server_id)
-        if inflight is None or record not in inflight:
+        if inflight is None or id(record) not in inflight:
             return  # resolved before the timer fired
         qid = record.query.query_id
         if qid in self._hedge_pairs:
@@ -1672,7 +1672,7 @@ class ElasticServingSimulation:
             else:
                 inflight = self._inflight.get(record.server_id)
                 if inflight is not None:
-                    inflight.remove(record)
+                    del inflight[id(record)]
                     if not inflight:
                         del self._inflight[record.server_id]
         server = self.cluster.server_by_id(record.server_id)
@@ -1900,7 +1900,7 @@ class ElasticServingSimulation:
         Only runs with in-flight tracking on: without it nothing can void an
         attempt, so there is no zombie, response deadline or watchdog to arm.
         """
-        self._inflight.setdefault(record.server_id, []).append(record)
+        self._inflight.setdefault(record.server_id, {})[id(record)] = record
         completion = record.completion_ms
         zombie = record.server_id in self._zombie_ids
         if zombie:

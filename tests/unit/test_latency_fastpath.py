@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.latency_model import (
     NoisyLatencyEstimator,
@@ -56,6 +58,55 @@ class TestOnlineVectorized:
         out = est.predict_many_ms("gpu", 64)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(45.0)
+
+
+_TYPES = ("gpu", "cpu")
+_observe = st.tuples(
+    st.just("observe"),
+    st.sampled_from(_TYPES),
+    st.sampled_from((1, 3, 8, 64, 200)),
+    st.floats(min_value=0.05, max_value=5_000.0, allow_nan=False),
+)
+# batch vectors of 1-24 entries straddle the tiny-vector cutoff (8); sizes hit the
+# observable batches and their neighbours, and run up to 600, past every observed
+# batch (at most 200)
+_batch = st.one_of(
+    st.sampled_from((1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 199, 200, 201)),
+    st.integers(min_value=1, max_value=600),
+)
+_predict = st.tuples(
+    st.just("predict"),
+    st.sampled_from(_TYPES),
+    st.lists(_batch, min_size=1, max_size=24),
+)
+
+
+class TestVectorMatchesScalarProperty:
+    """``predict_many_ms(t, v)[i]`` equals ``predict_ms(t, v[i])`` bit for bit at
+    every point of any observe/predict interleaving: the dense override array
+    reads exactly the lookup table's means."""
+
+    @given(st.lists(st.one_of(_observe, _predict), min_size=1, max_size=40))
+    @example([("predict", "gpu", [5] * 12), ("predict", "cpu", [5, 7])])  # cold start
+    @example(  # one distinct batch: proportional scaling, above and below it
+        [("observe", "gpu", 64, 30.0), ("observe", "gpu", 64, 34.0),
+         ("predict", "gpu", [1, 64, 65, 600] * 3), ("predict", "gpu", [64, 600])]
+    )
+    @example(  # every predicted batch above every observed one
+        [("observe", "cpu", 3, 2.0), ("observe", "cpu", 8, 5.0),
+         ("predict", "cpu", [300, 301, 599, 600] * 3), ("predict", "cpu", [9, 599])]
+    )
+    def test_vector_equals_scalar_bitwise(self, steps):
+        est = OnlineLatencyEstimator()
+        for step in steps:
+            if step[0] == "observe":
+                _, type_name, batch, latency = step
+                est.observe(type_name, batch, latency)
+                continue
+            _, type_name, batches = step
+            vector = est.predict_many_ms(type_name, np.asarray(batches))
+            scalar = np.asarray([est.predict_ms(type_name, b) for b in batches])
+            assert vector.tobytes() == scalar.tobytes()
 
 
 class TestNoisyVectorized:

@@ -17,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.config import HeterogeneousConfig
-from repro.core.cost_matrix import RoundColumnState, build_cost_matrix
+from repro.core.cost_matrix import RoundColumnState, build_cost_matrix, group_columns
 from repro.core.latency_model import PerfectLatencyEstimator
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.cluster import Cluster
@@ -130,6 +130,80 @@ class TestPushedChanges:
         assert got == _reference(
             query, servers, 10.0, policy.estimator, rm2.qos_ms, policy.coefficients
         )
+
+
+class TestStateConstruction:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abc"), st.sampled_from((0.0, 0.5, 2.0))),
+            min_size=12,
+            max_size=12,
+        ),
+        st.booleans(),
+        st.sets(st.integers(min_value=0, max_value=11)),
+    )
+    def test_a_state_equals_the_from_scratch_layout(
+        self, profiles, catalog, layout, contiguous, out
+    ):
+        """Codes, blocks, runs and the eligible view of a state built over any key
+        order (non-contiguous blocks included) and any mix of overheads equal the
+        plain first-occurrence grouping of its keys."""
+        if contiguous:
+            layout = sorted(layout, key=lambda pair: pair[0])  # stable: mixed overheads
+        rm2 = profiles.models["RM2"]
+        cluster = Cluster(HeterogeneousConfig((4, 4, 4, 0), catalog), rm2, profiles)
+        servers = cluster.servers
+        keys = [key for key, _ in layout]
+        for server, (_, overhead) in zip(servers, layout):
+            server.dispatch_overhead_ms = overhead
+        state = RoundColumnState(servers, keys)
+        first = list(dict.fromkeys(keys))
+        assert state.codes.tolist() == [first.index(key) for key in keys]
+        assert state.unique_keys() == tuple(first)
+        _assert_same_groups(state.refresh(0.0).groups, group_columns(keys))
+        pairs = list(dict.fromkeys(zip(state.codes.tolist(), (o for _, o in layout))))
+        assert [(run.code, run.overhead) for run in state.runs] == pairs
+        for run, (code, overhead) in zip(state.runs, pairs):
+            members = [
+                k for k in range(12)
+                if state.codes[k] == code and layout[k][1] == overhead
+            ]
+            assert run.bits == sum(1 << k for k in members)
+        for code, runs in enumerate(state.group_runs):
+            assert [run.code for run in runs] == [code] * len(runs)
+        for k in out:
+            _set(servers[k], 2, 50.0)
+        state.refresh(1.0)
+        kept = [k for k in range(12) if k not in out]
+        if kept:
+            view = state.eligible_view()
+            assert view.indices == kept
+            _assert_same_groups(view.groups, group_columns([keys[k] for k in kept]))
+
+    def test_states_released_out_of_order_unregister_only_themselves(
+        self, profiles, rm2, catalog
+    ):
+        cluster = Cluster(HeterogeneousConfig((2, 1, 0, 0), catalog), rm2, profiles)
+        servers = cluster.servers
+        states = [RoundColumnState(servers) for _ in range(3)]
+        states[2].refresh(0.0)  # reads every server: its dirty set empties
+        dirty = [state._dirty for state in states]
+        del states[1]  # the middle entry of every server's sinks
+        assert all([e[0] for e in s._sinks] == [dirty[0], dirty[2]] for s in servers)
+        del states[0]
+        assert all([e[0] for e in s._sinks] == [dirty[2]] for s in servers)
+        servers[0].state_version += 1
+        assert dirty[2] == {0}
+
+
+def _assert_same_groups(got, expected):
+    assert [key for key, _ in got] == [key for key, _ in expected]
+    for (_, cols), (_, want) in zip(got, expected):
+        assert type(cols) is type(want)
+        if isinstance(want, slice):
+            assert cols == want
+        else:
+            assert cols.dtype == want.dtype and cols.tolist() == want.tolist()
 
 
 class TestBlockScorerExactness:

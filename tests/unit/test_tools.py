@@ -189,3 +189,17 @@ def test_opcode_count_is_deterministic():
     for row in rows:
         workload, queries, opcodes, per_query = row.split()
         assert int(queries) > 0 and int(opcodes) > 0
+
+
+def test_opcode_top_functions_are_deterministic():
+    """``--opcodes --top N`` lists N functions per workload, the same in two runs,
+    in decreasing exclusive opcodes per query."""
+    args = ("--opcodes", "--sim-s", "0.05", "--top", "3")
+    first = _run(*args)
+    assert first == _run(*args)
+    for workload in ("steady", "burst", "churn"):
+        section = first.split(f"\n{workload}: top 3 functions")[1]
+        rows = section.splitlines()[2:5]
+        per_query = [float(row.split()[0]) for row in rows]
+        assert len(rows) == 3 and per_query == sorted(per_query, reverse=True)
+        assert all(row.rstrip().endswith(")") for row in rows)

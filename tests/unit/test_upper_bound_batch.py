@@ -5,19 +5,25 @@ whole configuration space — the planner's ranking (and therefore every selecte
 configuration) is exactly the seed behaviour, only cheaper.
 """
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud.config import HeterogeneousConfig
 from repro.cloud.instances import InstanceCatalog
 from repro.cloud.profiles import ProfileRegistry, TabulatedLatencyProfile
 from repro.core.config_space import ConfigSpace, _space, config_space, enumerate_configs
+from repro.core.controller import BatchWindow, ElasticKairosController
 from repro.core.kairos import KairosPlanner
 from repro.core.upper_bound import ThroughputUpperBoundEstimator
 from repro.workload.batch_sizes import (
     GaussianBatchSizes,
     production_batch_distribution,
 )
+from repro.workload.query import Query
 
 
 @pytest.fixture
@@ -117,6 +123,111 @@ class TestUpdateSamples:
         assert np.array_equal(
             planner.estimator.upper_bounds_batch(space), rebuilt.upper_bounds_batch(space)
         )
+
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=160),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=200),  # rotate the multiset
+                st.lists(  # or a new window, small batches included
+                    st.integers(min_value=1, max_value=1000), min_size=1, max_size=160
+                ),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_replanned_windows_match_fresh_and_scalar(self, profiles, multiset, windows):
+        """Re-planned bounds, over any sequence of windows (rotations of one
+        multiset among them), equal a fresh estimator's and the scalar bound's
+        bit for bit, and every cutoff's rates equal np.mean over the profiles."""
+        rm2 = profiles.models["RM2"]
+        space = config_space(2.5, profiles.catalog)
+        estimator = ThroughputUpperBoundEstimator(profiles, rm2, multiset)
+        estimator.upper_bounds_batch(space)  # cache the layout
+        for window in windows:
+            if isinstance(window, int):
+                shift = window % len(multiset)
+                window = multiset[shift:] + multiset[:shift]
+            samples = np.asarray(window)
+            estimator.update_samples(samples)
+            fresh = ThroughputUpperBoundEstimator(profiles, rm2, samples)
+            bounds = estimator.upper_bounds_batch(space)
+            assert bounds.tobytes() == fresh.upper_bounds_batch(space).tobytes()
+            scalar = np.asarray([fresh.upper_bound(c) for c in space], dtype=float)
+            assert bounds.tobytes() == scalar.tobytes()
+            for s in sorted({estimator.cutoff_of(t.name) for t in profiles.catalog.types}):
+                f, q_b_splus, q_a_by_type = estimator._rates_for_cutoff(s)
+                below = samples[samples <= s]
+                above = samples[samples > s]
+                assert f == below.size / samples.size
+                base = profiles.catalog.base_type.name
+                if above.size:
+                    assert q_b_splus == _np_mean_rate(profiles, rm2, base, above)
+                for name, q_a in q_a_by_type.items():
+                    if below.size and estimator.cutoff_of(name):
+                        assert q_a == _np_mean_rate(profiles, rm2, name, below)
+                    else:
+                        assert q_a == 0.0
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=1000),  # an arrival
+                st.lists(st.integers(min_value=1, max_value=1000), max_size=30),  # a prime
+            ),
+            max_size=40,
+        ),
+    )
+    def test_ring_window_lists_the_deque_order(self, capacity, steps):
+        """The ring buffer lists its window as ``deque(maxlen=capacity)`` would,
+        after priming (into a filled ring too), after wrap-around and at every
+        step in between."""
+        window = BatchWindow(capacity)
+        reference = deque(maxlen=capacity)
+        samples = window.samples()
+        for step in steps:
+            version = window.version
+            listed = samples.tolist()
+            if isinstance(step, int):
+                window.append(step)
+                reference.append(step)
+                assert window.version == version + 1
+            else:
+                window.extend(step)
+                reference.extend(step)
+                assert window.version == version + len(step)
+            assert samples.tolist() == listed  # a listed window is the caller's own
+            assert len(window) == len(reference)
+            samples = window.samples()
+            assert samples.tolist() == list(reference)
+
+    def test_controller_window_after_prime_and_wrap(self, profiles):
+        controller = ElasticKairosController(
+            "RM2", 2.5, 100.0, profiles=profiles, monitor_window=50, rng=0
+        )
+        reference = deque(maxlen=50)
+        primed = list(range(1, 41))
+        controller.prime_monitor(primed)
+        reference.extend(primed)
+        plan = controller.initial_plan()
+        assert controller._batch_window.samples().tolist() == list(reference)
+        assert plan.selected_config == KairosPlanner(
+            "RM2", plan.budget_per_hour, profiles=profiles, batch_samples=list(reference)
+        ).plan().selected_config
+        for t, b in enumerate(range(500, 530)):  # wraps the 50-slot ring
+            query = Query(query_id=t, arrival_time_ms=float(t), batch_size=b)
+            controller.observe_arrival(query, float(t))
+            reference.append(b)
+        assert controller._batch_window.samples().tolist() == list(reference)
+
+
+def _np_mean_rate(profiles, model, type_name, batches):
+    """The rate the seed computed: 1000 over ``np.mean`` of the profiled latencies."""
+    latencies = np.asarray(profiles.latency_ms(model, type_name, batches), dtype=float)
+    return 1000.0 / float(np.mean(latencies))
 
 
 def tabulated_registry(profiles, model):

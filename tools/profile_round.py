@@ -13,6 +13,7 @@ next perf lever without ad-hoc profiling::
     python tools/profile_round.py --scenario multi_model --repeats 5
     python tools/profile_round.py --scenario pipeline  # the benchmark's burst workload
     python tools/profile_round.py --opcodes            # opcodes per query
+    python tools/profile_round.py --opcodes --top 10   # ... and the costliest functions
 
 Phases overlap where the code nests (latency prediction runs inside the matrix build
 and the two scorers; all three run inside "policy schedule"), so shares do not
@@ -24,13 +25,16 @@ executes over the first episode of each perfbench workload (``sys.settrace`` wit
 counted in a fresh interpreter with ``PYTHONHASHSEED=0``, after one untraced run of
 the same episode (imports and memoized configuration spaces) and with the cyclic
 garbage collector paused, so the count is exact and host-independent.  Work done in C (numpy, scipy, builtins) is not
-counted, so the count is a measure of interpreter work, not of speed.
+counted, so the count is a measure of interpreter work, not of speed.  ``--top N``
+adds, per workload, the N functions that execute the most opcodes themselves
+(exclusive of their callees), per query — where the interpreter work goes.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 import time
 from pathlib import Path
@@ -270,9 +274,25 @@ OPCODE_WORKLOADS = ("steady", "burst", "churn")
 OPCODE_SEED = 1
 
 
+def _function_label(code, owner) -> str:
+    """``path:line(qualified name)`` of a code object; the path is relative to the
+    repository, or its last two parts outside it, so labels match across hosts.
+    Generated code (a dataclass's ``__init__`` or ``__eq__``) shares one file name
+    and line, so it is labelled by the class of the ``self`` it first ran on."""
+    if code.co_filename.startswith("<"):
+        method = f"{owner}.{code.co_name}" if owner else code.co_name
+        return f"{code.co_filename}({method})"
+    path = Path(code.co_filename)
+    try:
+        shown = path.resolve().relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        shown = "/".join(path.parts[-2:])
+    return f"{shown}:{code.co_firstlineno}({code.co_qualname})"
+
+
 def count_opcodes(workload: str, sim_s=None) -> tuple:
-    """``(offered queries, opcodes executed)`` by one traced ``run_scenario`` call
-    over the workload's first episode."""
+    """``(offered queries, opcodes executed, opcodes per function label)`` by one
+    traced ``run_scenario`` call over the workload's first episode."""
     sys.path.insert(0, str(REPO_ROOT / "perfbench"))
     import episodes
     import workloads
@@ -281,15 +301,20 @@ def count_opcodes(workload: str, sim_s=None) -> tuple:
     spec = workloads.build(workload, episodes.episode_seed(OPCODE_SEED, 0), sim_s)
     queries = build_queries(spec)
     run_scenario(spec, queries, check=False)  # untraced: imports, memoized spaces
-    count = 0
+    per_code = {}
+    owners = {}  # generated code object -> class name of its first ``self``, if any
 
     def local(frame, event, arg):
-        nonlocal count
         if event == "opcode":
-            count += 1
+            code = frame.f_code
+            per_code[code] = per_code.get(code, 0) + 1
         return local
 
     def on_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith("<") and code not in owners:
+            owner = frame.f_locals.get("self")
+            owners[code] = None if owner is None else type(owner).__qualname__
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -304,11 +329,16 @@ def count_opcodes(workload: str, sim_s=None) -> tuple:
     finally:
         sys.settrace(None)
         gc.enable()
-    return len(queries), count
+    per_function = {}
+    for code, n in per_code.items():
+        label = _function_label(code, owners.get(code))
+        per_function[label] = per_function.get(label, 0) + n
+    return len(queries), sum(per_code.values()), per_function
 
 
-def _opcode_report(sim_s) -> int:
-    """Count each workload in a fresh interpreter and print the table."""
+def _opcode_report(sim_s, top: int = 0) -> int:
+    """Count each workload in a fresh interpreter and print the table (and, with
+    ``top``, each workload's costliest functions)."""
     import os
     import subprocess
 
@@ -316,16 +346,25 @@ def _opcode_report(sim_s) -> int:
     scale = "" if sim_s is None else f", {sim_s} simulated s"
     print(f"opcodes per query, first episode at seed {OPCODE_SEED}{scale}:")
     print(f"{'workload':<10} {'queries':>8} {'opcodes':>12} {'per query':>10}")
+    heads = {}
     for workload in OPCODE_WORKLOADS:
         args = [sys.executable, str(Path(__file__).resolve())]
-        args += ["--opcode-child", workload]
+        args += ["--opcode-child", workload, "--top", str(top)]
         if sim_s is not None:
             args += ["--sim-s", repr(sim_s)]
         out = subprocess.run(
             args, capture_output=True, text=True, env=env, check=True
-        ).stdout.split()
-        queries, opcodes = int(out[-2]), int(out[-1])
+        ).stdout.splitlines()
+        counted = json.loads(out[-1])
+        queries, opcodes = counted["queries"], counted["opcodes"]
+        heads[workload] = (queries, opcodes, counted["top"])
         print(f"{workload:<10} {queries:>8} {opcodes:>12} {opcodes / queries:>10.1f}")
+    if top:
+        for workload, (queries, opcodes, head) in heads.items():
+            print(f"\n{workload}: top {top} functions by exclusive opcodes per query")
+            print(f"{'per query':>10} {'share':>7}  function")
+            for label, n in head:
+                print(f"{n / queries:>10.1f} {100.0 * n / opcodes:>6.1f}%  {label}")
     return 0
 
 
@@ -357,15 +396,28 @@ def main(argv=None) -> int:
         help="with --opcodes: simulated seconds per episode (default the workload's)",
     )
     parser.add_argument(
+        "--top",
+        type=int,
+        default=0,
+        metavar="N",
+        help="with --opcodes: also list each workload's N functions with the most "
+        "exclusive opcodes per query",
+    )
+    parser.add_argument(
         "--opcode-child", choices=OPCODE_WORKLOADS, help=argparse.SUPPRESS
     )
     args = parser.parse_args(argv)
+    if args.top < 0:
+        parser.error("--top must be >= 0")
 
     if args.opcode_child:
-        print(*count_opcodes(args.opcode_child, args.sim_s))
+        queries, opcodes, per_function = count_opcodes(args.opcode_child, args.sim_s)
+        # most opcodes first, ties by label: the order is part of the output
+        ranked = sorted(per_function.items(), key=lambda item: (-item[1], item[0]))
+        print(json.dumps({"queries": queries, "opcodes": opcodes, "top": ranked[: args.top]}))
         return 0
     if args.opcodes:
-        return _opcode_report(args.sim_s)
+        return _opcode_report(args.sim_s, args.top)
 
     timers = _instrument()
     runner = {
