@@ -450,17 +450,7 @@ class RoundColumnState:
         #: Per server of the full layout, the position of its block in ``groups``.
         self.codes = np.asarray([run.code for run in run_of], dtype=np.intp)
         self._keys_by_code = list(code_of)
-        # each block's columns are its runs' bits: a slice when they are one range
-        groups: List[Tuple[object, ColumnIndex]] = []
-        for code, (key, runs) in enumerate(zip(code_of, self.group_runs)):
-            bits = 0
-            for block_run in runs:
-                bits |= block_run.bits
-            first = (bits & -bits).bit_length() - 1
-            if bits.bit_length() - first == bits.bit_count():
-                groups.append((key, slice(first, bits.bit_length())))
-            else:
-                groups.append((key, np.flatnonzero(self.codes == code)))
+        groups = group_columns(keys)
         self._full_columns = _FullLayout(
             list(range(n)),
             tuple(self._server_ids),
@@ -481,17 +471,10 @@ class RoundColumnState:
         self.now_ms = float("-inf")
 
     def __del__(self):
-        # stop the servers pushing to a state nobody reads any more; states are
-        # replaced oldest first, so this one's entry is usually a server's first
+        # stop the servers pushing to a state nobody reads any more
         dirty = getattr(self, "_dirty", None)
-        if dirty is None:
-            return
-        for server in self.servers:
-            sinks = server._sinks
-            if sinks and sinks[0][0] is dirty:
-                server._sinks = sinks[1:]
-            else:
-                server._sinks = tuple(e for e in sinks if e[0] is not dirty)
+        for server in getattr(self, "servers", ()):
+            server._sinks = tuple(e for e in server._sinks if e[0] is not dirty)
 
     @property
     def masked(self) -> bool:

@@ -126,63 +126,45 @@ def upper_bound_from_rates(
     return max(value, base_count * q_b)
 
 
-def _bounds_for_group(
-    base_counts: np.ndarray,
+def _grouped_bounds(
+    base: np.ndarray,
+    rate: np.ndarray,
     q_b: float,
-    q_b_splus: float,
-    aux_rate: np.ndarray,
-    f: float,
+    q_b_splus: np.ndarray,
+    f: np.ndarray,
+    baseless: int,
 ) -> np.ndarray:
-    """Vectorized :func:`upper_bound_from_rates` for configurations sharing a cutoff.
+    """Vectorized :func:`upper_bound_from_rates` for configurations with aux types.
 
-    ``f``, ``q_b`` and ``q_b_splus`` are scalars for the whole group; ``base_counts``
-    and ``aux_rate`` vary per configuration.  The branch structure mirrors the scalar
-    function case for case so results are bit-identical.
+    ``q_b`` is shared; the base counts, the aux rate and their group's ``f`` and
+    ``Q_b^{s+}`` vary per configuration, and the first ``baseless`` configurations
+    are the ones without a base instance.  Eq. 15's two-bottleneck value is
+    computed for the others and the scalar's earlier branches are masked over it,
+    so each configuration gets the scalar's value bit for bit.
     """
-    values = np.empty(base_counts.shape, dtype=float)
-
-    # Degenerate: no base instances (q_b > 0 is guaranteed by _rate).
-    no_base = (base_counts == 0) | (q_b <= 0)
-    values[no_base] = aux_rate[no_base] if f >= 1.0 - 1e-12 else 0.0
-    rest = ~no_base
-    if not np.any(rest):
-        return values
-
-    if f <= 0.0:
-        # No query fits the auxiliary types (also covers aux_rate == 0: same formula).
-        values[rest] = base_counts[rest] * q_b
-        return values
-    if f >= 1.0 - 1e-12:
-        # Every query fits the auxiliary types; adding 0 when aux_rate == 0 matches
-        # the scalar's homogeneous branch exactly.
-        values[rest] = aux_rate[rest] + base_counts[rest] * q_b
-        return values
-
-    # Configurations whose present aux types all have rate 0 reduce to base-only.
-    no_aux_rate = rest & (aux_rate <= 0)
-    values[no_aux_rate] = base_counts[no_aux_rate] * q_b
-    main = rest & ~no_aux_rate
-    if np.any(main):
-        values[main] = _mixed_bounds(base_counts[main], aux_rate[main], q_b, q_b_splus, f)
-    return values
-
-
-def _mixed_bounds(
-    base: np.ndarray, rate: np.ndarray, q_b: float, q_b_splus: float, f: float
-) -> np.ndarray:
-    """Eq. 15's two-bottleneck case for configurations with base instances and a
-    positive auxiliary rate, ``0 < f < 1``: the scalar's last branch, term by term."""
-    offload_rate = (1.0 - f) / f * rate  # Eq. 14's C term
-    base_splus_capacity = base * q_b_splus
-    base_bottleneck = base_splus_capacity <= offload_rate
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if q_b <= 0:
+        baseless = base.size
+    fits_all = f >= 1.0 - 1e-12
+    # no base instance: only the small queries can be served
+    bounds = np.where(fits_all, rate, 0.0)
+    base, rate, q_b_splus, f, fits_all = (
+        column[baseless:] for column in (base, rate, q_b_splus, f, fits_all)
+    )
+    base_only = base * q_b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # masked below
+        offload_rate = (1.0 - f) / f * rate  # Eq. 14's C term
+        base_splus_capacity = base * q_b_splus
         slack_ratio = (base_splus_capacity - offload_rate) / base_splus_capacity
         value = np.where(
-            base_bottleneck,
-            base_splus_capacity / (1.0 - f),  # Eq. 9 / 12
-            rate / f + slack_ratio * base * q_b,  # Eq. 11 / 13 / 15
+            base_splus_capacity <= offload_rate,
+            base_splus_capacity / (1.0 - f),  # Eq. 9 / 12: base bottleneck
+            rate / f + slack_ratio * base * q_b,  # Eq. 11 / 13 / 15: aux bottleneck
         )
-    return np.maximum(value, base * q_b)  # same soundness floor as the scalar
+        value = np.maximum(value, base_only)  # same soundness floor as the scalar
+    # the scalar's earlier branches, last to first
+    value = np.where(fits_all, rate + base_only, value)  # every query fits the aux
+    bounds[baseless:] = np.where((f <= 0.0) | (rate <= 0), base_only, value)  # aux idle
+    return bounds
 
 
 def _aux_rate(columns: Sequence[np.ndarray], q_a: Sequence[float]) -> np.ndarray:
@@ -238,35 +220,25 @@ def ranked_pairs(
 _LAYOUT_SLOTS = 2
 
 
-class _CutoffGroup(NamedTuple):
-    """The configurations sharing one effective cutoff ``s``: their positions in
-    the space and their counts (one aux column per auxiliary type, catalog order)."""
-
-    s: int
-    index: np.ndarray
-    base_counts: np.ndarray
-    aux_counts: np.ndarray
-
-
 class _CutoffLayout(NamedTuple):
     """A configuration space grouped by effective cutoff ``s`` (samples play no part).
 
-    ``groups`` holds one :class:`_CutoffGroup` per distinct cutoff, in increasing
-    ``s``; ``no_aux`` lists the base-only configurations and ``no_aux_base`` their
-    base counts.  The rest splits the grouped configurations by the branches of
-    Eq. 15 that the counts alone decide: ``baseless`` lists those without a base
-    instance, ``mixed`` those with one, ``mixed_group`` the group of each, and
-    ``mixed_base`` / ``mixed_aux`` (contiguous float columns) their counts.
+    ``no_aux`` lists the base-only configurations and ``no_aux_base`` their base
+    counts.  ``cutoffs`` holds the distinct cutoffs of the others in increasing
+    order; ``grouped`` lists those configurations, the first ``baseless`` of them
+    the ones without a base instance, ``group`` the position of each one's cutoff
+    in ``cutoffs``, and ``base`` / ``aux`` (contiguous float columns, one per
+    auxiliary type in catalog order) their counts.
     """
 
     no_aux: np.ndarray
     no_aux_base: np.ndarray
-    groups: Tuple[_CutoffGroup, ...]
-    baseless: np.ndarray
-    mixed: np.ndarray
-    mixed_group: np.ndarray
-    mixed_base: np.ndarray
-    mixed_aux: Tuple[np.ndarray, ...]
+    cutoffs: Tuple[int, ...]
+    grouped: np.ndarray
+    baseless: int
+    group: np.ndarray
+    base: np.ndarray
+    aux: Tuple[np.ndarray, ...]
 
 
 class ThroughputUpperBoundEstimator:
@@ -462,36 +434,20 @@ class ThroughputUpperBoundEstimator:
         aux_names = [name for name in names if name != self._base_name]
         bounds = np.empty(len(configs), dtype=float)
         bounds[layout.no_aux] = layout.no_aux_base * q_b
-        rates = [self._rates_for_cutoff(group.s) for group in layout.groups]
-        if rates and q_b > 0 and all(0.0 < f < 1.0 - 1e-12 for f, _, _ in rates):
-            # The common case, every group in one pass over the precomputed split:
-            # a base-less configuration serves nothing, and every other one is
-            # mixed, since its largest-cutoff aux type has s >= 1 and, with f > 0,
-            # a positive rate (so none has aux_rate 0).  Each configuration reads
-            # its group's rates from one gathered row.
-            per_group = np.asarray(
-                [
-                    (f, q_b_splus, *[q_a_by_type[name] for name in aux_names])
-                    for f, q_b_splus, q_a_by_type in rates
-                ]
-            )
-            per_row = per_group.take(layout.mixed_group, axis=0)
-            q_a = [per_row[:, 2 + k] for k in range(len(aux_names))]
-            bounds[layout.baseless] = 0.0
-            bounds[layout.mixed] = _mixed_bounds(
-                layout.mixed_base,
-                _aux_rate(layout.mixed_aux, q_a),
-                q_b,
-                per_row[:, 1],
-                per_row[:, 0],
-            )
+        if not layout.cutoffs:
             return bounds
-        for group, (f, q_b_splus, q_a_by_type) in zip(layout.groups, rates):
-            q_a = [q_a_by_type[name] for name in aux_names]
-            columns = [group.aux_counts[:, k] for k in range(len(aux_names))]
-            bounds[group.index] = _bounds_for_group(
-                group.base_counts, q_b, q_b_splus, _aux_rate(columns, q_a), f
-            )
+        # every configuration with aux types reads its group's rates from one
+        # gathered column: (f, Q_b^{s+}, Q_a per aux type)
+        per_group = np.asarray(
+            [
+                (f, q_b_splus, *[q_a_by_type[name] for name in aux_names])
+                for f, q_b_splus, q_a_by_type in map(self._rates_for_cutoff, layout.cutoffs)
+            ]
+        )
+        f, q_b_splus, *q_a = per_group.T.take(layout.group, axis=1)
+        bounds[layout.grouped] = _grouped_bounds(
+            layout.base, _aux_rate(layout.aux, q_a), q_b, q_b_splus, f, layout.baseless
+        )
         return bounds
 
     def _cutoff_layout(self, counts: np.ndarray) -> _CutoffLayout:
@@ -503,7 +459,7 @@ class ThroughputUpperBoundEstimator:
             # Single-type catalog: every configuration is base-only.
             empty = np.zeros(0, dtype=np.intp)
             return _CutoffLayout(
-                np.arange(len(counts)), base_counts, (), empty, empty, empty, empty, ()
+                np.arange(len(counts)), base_counts, (), empty, 0, empty, np.zeros(0), ()
             )
         aux_counts = counts[:, aux_indices]
         names = list(self.catalog.names)
@@ -511,23 +467,21 @@ class ThroughputUpperBoundEstimator:
         # effective cutoff s = max cutoff over the aux types present (-1: no aux)
         s_values = np.where(aux_counts > 0, cutoffs[None, :], -1).max(axis=1)
         no_aux = np.flatnonzero(s_values < 0)
-        grouped = s_values >= 0
-        cutoff_values = np.unique(s_values[grouped]).tolist()
-        groups = []
-        for s in cutoff_values:
-            index = np.flatnonzero(s_values == s)
-            groups.append(_CutoffGroup(s, index, base_counts[index], aux_counts[index]))
-        mixed = np.flatnonzero(grouped & (base_counts != 0))
+        # the base-less configurations first
+        has_aux = s_values >= 0
+        baseless = np.flatnonzero(has_aux & (base_counts == 0))
+        grouped = np.concatenate([baseless, np.flatnonzero(has_aux & (base_counts != 0))])
+        cutoff_values = np.unique(s_values[grouped])
         return _CutoffLayout(
             no_aux=no_aux,
             no_aux_base=base_counts[no_aux],
-            groups=tuple(groups),
-            baseless=np.flatnonzero(grouped & (base_counts == 0)),
-            mixed=mixed,
-            mixed_group=np.searchsorted(cutoff_values, s_values[mixed]),
-            mixed_base=base_counts[mixed],
-            mixed_aux=tuple(
-                np.ascontiguousarray(aux_counts[mixed, k], dtype=float)
+            cutoffs=tuple(cutoff_values.tolist()),
+            grouped=grouped,
+            baseless=baseless.size,
+            group=np.searchsorted(cutoff_values, s_values[grouped]),
+            base=base_counts[grouped],
+            aux=tuple(
+                np.ascontiguousarray(aux_counts[grouped, k], dtype=float)
                 for k in range(len(aux_indices))
             ),
         )

@@ -18,7 +18,11 @@ from repro.cloud.profiles import ProfileRegistry, TabulatedLatencyProfile
 from repro.core.config_space import ConfigSpace, _space, config_space, enumerate_configs
 from repro.core.controller import BatchWindow, ElasticKairosController
 from repro.core.kairos import KairosPlanner
-from repro.core.upper_bound import ThroughputUpperBoundEstimator
+from repro.core.upper_bound import (
+    ThroughputUpperBoundEstimator,
+    _grouped_bounds,
+    upper_bound_from_rates,
+)
 from repro.workload.batch_sizes import (
     GaussianBatchSizes,
     production_batch_distribution,
@@ -60,6 +64,26 @@ class TestBatchEquivalence:
         # the memoized space ranks its cached count matrix: same bits
         assert np.array_equal(estimator.upper_bounds_batch(config_space(2.5, catalog)), scalar)
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            [600, 900],  # RM2's cutoffs 525/796/947 see f = 0, 1/2 and 1 in one call
+            [1, 1, 2],  # f = 1 for every cutoff
+            [1000, 999],  # f = 0 for every cutoff
+            [300, 600, 800, 1000],  # every f strictly between 0 and 1
+        ],
+    )
+    def test_bit_identical_when_groups_take_different_branches(
+        self, profiles, rm2, catalog, rng, window
+    ):
+        estimator = ThroughputUpperBoundEstimator(profiles, rm2, window)
+        configs = random_configs(catalog, rng)
+        space = config_space(2.5, catalog)
+        for configs in (configs, space):
+            batch = estimator.upper_bounds_batch(configs)
+            scalar = np.asarray([estimator.upper_bound(c) for c in configs], dtype=float)
+            assert batch.tobytes() == scalar.tobytes()
+
     def test_foreign_catalog_space_takes_the_scalar_path(self, estimator, catalog):
         reordered = InstanceCatalog(list(reversed(catalog.types)), base_type="g4dn.xlarge")
         space = config_space(1.5, reordered)
@@ -84,6 +108,37 @@ class TestBatchEquivalence:
     def test_empty_input(self, estimator):
         out = estimator.upper_bounds_batch([])
         assert out.shape == (0,)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),  # base count, 0 included
+                st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)),
+                st.floats(min_value=1e-3, max_value=1e4),  # Q_b^{s+}
+                st.one_of(
+                    st.sampled_from([0.0, 1.0, 1.0 - 1e-13, 1e-9, 5e-324, 0.5]),
+                    st.floats(min_value=0.0, max_value=1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e4)),  # q_b
+    )
+    def test_one_pass_matches_the_scalar_case_for_case(self, rows, q_b):
+        """Every branch of Eq. 15 (no base, no aux rate, f = 0, f = 1 and the two
+        bottlenecks), mixed in one call, gets the scalar's bits."""
+        rows = sorted(rows, key=lambda row: row[0] != 0)  # the base-less rows first
+        base, rate, q_b_splus, f = (np.asarray(col, dtype=float) for col in zip(*rows))
+        baseless = int(np.count_nonzero(base == 0))
+        batch = _grouped_bounds(base, rate, q_b, q_b_splus, f, baseless)
+        scalar = np.asarray(
+            [
+                upper_bound_from_rates(int(u), q_b, splus, [(1, r)], share)
+                for u, r, splus, share in rows
+            ]
+        )
+        assert batch.tobytes() == scalar.tobytes()
 
 
 class TestUpdateSamples:
