@@ -282,9 +282,8 @@ class BatchWindow:
     An arrival writes one slot.  :meth:`samples` lists the window oldest first —
     the order a ``deque(maxlen=capacity)`` fed the same arrivals would hold, which
     the planner's rate means depend on bit for bit — as a fresh array the planner
-    may keep while the ring moves on.  ``version`` counts the arrivals, so two
-    reads at one version list the same window; arrival ``v`` sits in slot
-    ``v % capacity``.
+    may keep while the ring moves on.  ``version`` counts the arrivals; arrival
+    ``v`` sits in slot ``v % capacity``.
     """
 
     __slots__ = ("_ring", "_capacity", "_slots", "version")
@@ -427,8 +426,6 @@ class ElasticKairosController:
         self._last_replan_ms = 0.0
         self._current_config: Optional[HeterogeneousConfig] = None
         self._planners: Dict[float, KairosPlanner] = {}
-        #: the monitor window version each budget's planner was last fed
-        self._fed_versions: Dict[float, int] = {}
         self.decisions: List[ReplanDecision] = []
         #: (time_ms, type_name, count) of every preemption this controller absorbed.
         self.preemptions: List[Tuple[float, str, int]] = []
@@ -445,8 +442,7 @@ class ElasticKairosController:
         """Plan against the monitored window with this budget's planner.
 
         Each budget keeps one planner, fed every new window in place, so a re-plan
-        keeps its estimator's cutoffs, latency tables and cutoff grouping (and,
-        when no query arrived since that planner's last plan, its rates too).  An
+        keeps its estimator's cutoffs, latency tables and cutoff grouping.  An
         empty monitor instead draws a fresh window from the fallback mix through a
         fresh planner, exactly as many draws from the controller's generator as
         before.
@@ -459,9 +455,8 @@ class ElasticKairosController:
             planner = self._planners[budget_per_hour] = self._new_planner(
                 budget_per_hour, window.samples()
             )
-        elif self._fed_versions[budget_per_hour] != window.version:
+        else:
             planner.update_batch_samples(window.samples())
-        self._fed_versions[budget_per_hour] = window.version
         return planner.plan()
 
     def _new_planner(
